@@ -153,7 +153,7 @@ func ExecuteBatchCancelable(w *model.Weights, items []BatchItem, cancels []func(
 	}
 	var combined *model.KVCache
 	if len(all) > 0 {
-		combined = model.ConcatCaches(all...)
+		combined = model.ConcatCachesReserve(totalSuffix, all...)
 	} else {
 		combined = model.NewKVCache(w.Config())
 	}

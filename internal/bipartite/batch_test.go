@@ -3,6 +3,8 @@ package bipartite
 import (
 	"errors"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -251,5 +253,42 @@ func TestExecuteBatchEmptyAndNil(t *testing.T) {
 	w := testWeights()
 	if runs, err := ExecuteBatch(w, nil); err != nil || len(runs) != 0 {
 		t.Fatalf("empty batch: runs=%v err=%v", runs, err)
+	}
+}
+
+// TestExecuteBatchHitAssemblesContextOnce pins the one-copy context: a
+// user-prefix hit allocates its attention context (cached prefix + room for
+// the suffix) once. Before, the prefix was copied at exact capacity and the
+// packed forward's reserve then doubled and copied it again — three times the
+// context in allocated bytes.
+func TestExecuteBatchHitAssemblesContextOnce(t *testing.T) {
+	w := testWeights()
+	l, err := Build(UserPrefix, testPrompt(rand.New(rand.NewSource(5)), 512, 2, 2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Execute(w, l, CacheSet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := []BatchItem{{Layout: l, Caches: CacheSet{User: cold.NewUserCache}}}
+
+	gc := debug.SetGCPercent(-1) // TotalAlloc is cumulative, but keep the run undisturbed
+	defer debug.SetGCPercent(gc)
+	const runs = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ExecuteBatch(w, items); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	cfg := w.Config()
+	context := uint64(l.Len() * 2 * cfg.KVHeads * cfg.HeadDim * 4 * cfg.Layers) // K and V, float32
+	t.Logf("one hit-path ExecuteBatch allocates %d bytes; its context holds %d", perRun, context)
+	if perRun > 2*context {
+		t.Errorf("one hit-path ExecuteBatch allocated %d bytes, over twice its %d-byte context: the context is being copied more than once", perRun, context)
 	}
 }

@@ -111,12 +111,14 @@ func checkCancel(cancel func() error) error {
 
 func executeUserPrefix(w *model.Weights, l *Layout, userCache *model.KVCache, cancel func() error) (*Run, error) {
 	run := &Run{Layout: l}
+	suffix := l.Tokens[l.PrefixLen:]
+	pos := l.Pos[l.PrefixLen:]
 	var ctx *model.KVCache
 	if userCache != nil {
 		if userCache.Len() != l.PrefixLen {
 			return nil, fmt.Errorf("bipartite: user cache covers %d tokens, layout prefix is %d", userCache.Len(), l.PrefixLen)
 		}
-		ctx = userCache.Clone()
+		ctx = model.ConcatCachesReserve(len(suffix), userCache)
 		run.ReusedTokens = l.PrefixLen
 	} else {
 		ctx = model.NewKVCache(w.Config())
@@ -130,8 +132,6 @@ func executeUserPrefix(w *model.Weights, l *Layout, userCache *model.KVCache, ca
 		ctx.Release()
 		return nil, err
 	}
-	suffix := l.Tokens[l.PrefixLen:]
-	pos := l.Pos[l.PrefixLen:]
 	run.Hidden = w.Forward(suffix, pos, l.Mask(), ctx)
 	ctx.Release() // reclaim arena pages; no-op for contiguous storage
 	run.ComputedTokens += len(suffix)
@@ -178,12 +178,12 @@ func executeItemPrefix(w *model.Weights, l *Layout, itemCaches map[int]*model.KV
 	if err := checkCancel(cancel); err != nil {
 		return nil, err
 	}
-	// Assemble the context: copies for contiguous caches, block sharing with
-	// copy-on-write for arena-backed ones — either way the stored caches
-	// stay untouched.
-	ctx := model.ConcatCaches(parts...)
+	// Assemble the context once, with room for the suffix: copies for
+	// contiguous caches, block sharing with copy-on-write for arena-backed
+	// ones — either way the stored caches stay untouched.
 	suffix := l.Tokens[l.PrefixLen:]
 	pos := l.Pos[l.PrefixLen:]
+	ctx := model.ConcatCachesReserve(len(suffix), parts...)
 	run.Hidden = w.Forward(suffix, pos, l.Mask(), ctx)
 	ctx.Release() // reclaim arena pages; no-op for contiguous storage
 	run.ComputedTokens += len(suffix)

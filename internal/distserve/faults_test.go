@@ -188,7 +188,10 @@ func TestCircuitBreakerTripsAndRecovers(t *testing.T) {
 		t.Fatalf("breaker state %q after recovery, want closed", got)
 	}
 	// And traffic flows again end to end: the next request reuses the cache
-	// the post-recovery request stored.
+	// the post-recovery request stored, once its write-behind store lands.
+	if err := d.frontend.FlushStores(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	out, err := d.frontend.Rank(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)

@@ -56,7 +56,7 @@ func (a *BlockArena) Adopt(c *KVCache) *KVCache {
 		panic(fmt.Sprintf("model: Adopt architecture mismatch: %s vs %s", c.cfg.Name, a.cfg.Name))
 	}
 	out := a.NewKVCache()
-	out.store.appendFrom(c.store, c.n)
+	out.store.appendFrom(c.store, c.n, 0)
 	out.n = c.n
 	return out
 }
@@ -145,18 +145,12 @@ func (s *pagedStore) writeToken(layer, t int, k, v []float32) {
 	copy(a.slabs[id][a.vOff(layer, slot):], v)
 }
 
-func (s *pagedStore) layerK(layer, t, h int) []float32 {
+func (s *pagedStore) rows(layer, t int) (k, v []float32) {
 	a := s.arena
-	id := s.blocks[t/a.blockTokens]
-	off := a.kOff(layer, t%a.blockTokens) + h*a.cfg.HeadDim
-	return a.slabs[id][off : off+a.cfg.HeadDim]
-}
-
-func (s *pagedStore) layerV(layer, t, h int) []float32 {
-	a := s.arena
-	id := s.blocks[t/a.blockTokens]
-	off := a.vOff(layer, t%a.blockTokens) + h*a.cfg.HeadDim
-	return a.slabs[id][off : off+a.cfg.HeadDim]
+	slab := a.slabs[s.blocks[t/a.blockTokens]]
+	slot := t % a.blockTokens
+	return slab[a.kOff(layer, slot):a.kOff(layer, a.blockTokens)],
+		slab[a.vOff(layer, slot):a.vOff(layer, a.blockTokens)]
 }
 
 func (s *pagedStore) truncate(n int) {
@@ -191,7 +185,7 @@ func (s *pagedStore) aligned() bool {
 	return n%s.arena.blockTokens == 0
 }
 
-func (s *pagedStore) appendFrom(src kvStore, tokens int) {
+func (s *pagedStore) appendFrom(src kvStore, tokens, _ int) {
 	a := s.arena
 	if ps, ok := src.(*pagedStore); ok && ps.arena == a && s.aligned() {
 		full := tokens / a.blockTokens
@@ -205,7 +199,8 @@ func (s *pagedStore) appendFrom(src kvStore, tokens int) {
 		// Copy the unaligned tail row by row.
 		for t := full * a.blockTokens; t < tokens; t++ {
 			for l := 0; l < a.cfg.Layers; l++ {
-				s.writeToken(l, s.cursor[l], ps.rowK(l, t), ps.rowV(l, t))
+				k, v := ps.rows(l, t)
+				s.writeToken(l, s.cursor[l], k[:a.stride], v[:a.stride])
 			}
 			for l := range s.cursor {
 				s.cursor[l]++
@@ -230,28 +225,14 @@ func (s *pagedStore) appendFrom(src kvStore, tokens int) {
 	}
 }
 
-// rowK/rowV return a token's full stride-wide row.
-func (s *pagedStore) rowK(layer, t int) []float32 {
-	a := s.arena
-	id := s.blocks[t/a.blockTokens]
-	off := a.kOff(layer, t%a.blockTokens)
-	return a.slabs[id][off : off+a.stride]
-}
-
-func (s *pagedStore) rowV(layer, t int) []float32 {
-	a := s.arena
-	id := s.blocks[t/a.blockTokens]
-	off := a.vOff(layer, t%a.blockTokens)
-	return a.slabs[id][off : off+a.stride]
-}
-
 func (s *pagedStore) layerData(l, n int) (k, v []float32) {
 	stride := s.arena.stride
 	k = make([]float32, n*stride)
 	v = make([]float32, n*stride)
-	for t := 0; t < n; t++ {
-		copy(k[t*stride:], s.rowK(l, t))
-		copy(v[t*stride:], s.rowV(l, t))
+	for t := 0; t < n; t += s.arena.blockTokens {
+		pk, pv := s.rows(l, t)
+		copy(k[t*stride:], pk) // a whole page, or what is left of n tokens
+		copy(v[t*stride:], pv)
 	}
 	return k, v
 }

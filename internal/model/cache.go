@@ -1,6 +1,9 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // KVCache stores per-layer key/value vectors for a processed token prefix.
 // Keys carry their rotary position embedding, so a cache entry is only valid
@@ -24,13 +27,18 @@ type KVCache struct {
 // level again at every public-API boundary.
 type kvStore interface {
 	appendToken(layer int, k, v []float32)
-	layerK(layer, t, h int) []float32
-	layerV(layer, t, h int) []float32
+	// rows returns the layer's key and value rows from token t to the end of
+	// the contiguous run that holds it (the whole slab for flat storage, the
+	// rest of t's page for paged storage): token t+j's row starts at
+	// j*stride. Attention indexes the slabs directly, so storage dispatch
+	// costs one call per run instead of two per key.
+	rows(layer, t int) (k, v []float32)
 	truncate(n int)
 	clone() kvStore
 	// appendFrom bulk-appends tokens tokens from src (sharing storage when
-	// the backend can).
-	appendFrom(src kvStore, tokens int)
+	// the backend can). room is how many more tokens the caller will append
+	// afterwards, for backends that can size their storage once.
+	appendFrom(src kvStore, tokens, room int)
 	// layerData returns contiguous copies (or views) of layer l's keys and
 	// values covering n tokens, for serialization.
 	layerData(l, n int) (k, v []float32)
@@ -51,9 +59,15 @@ func (c *KVCache) Config() Config { return c.cfg }
 func (c *KVCache) stride() int { return c.cfg.KVHeads * c.cfg.HeadDim }
 
 // layerK returns the key vector of token t, kv-head h at the given layer.
-func (c *KVCache) layerK(layer, t, h int) []float32 { return c.store.layerK(layer, t, h) }
+func (c *KVCache) layerK(layer, t, h int) []float32 {
+	k, _ := c.store.rows(layer, t)
+	return k[h*c.cfg.HeadDim : (h+1)*c.cfg.HeadDim]
+}
 
-func (c *KVCache) layerV(layer, t, h int) []float32 { return c.store.layerV(layer, t, h) }
+func (c *KVCache) layerV(layer, t, h int) []float32 {
+	_, v := c.store.rows(layer, t)
+	return v[h*c.cfg.HeadDim : (h+1)*c.cfg.HeadDim]
+}
 
 // appendToken adds one token's K/V rows for a single layer. The forward pass
 // calls this layer by layer; external callers use Forward which keeps layers
@@ -120,7 +134,12 @@ func (c *KVCache) CopyRange(lo, hi int) *KVCache {
 // precomputed per-item caches. When every input lives in the same
 // BlockArena, block-aligned content is shared by reference instead of
 // copied — PagedAttention's prefix-sharing.
-func ConcatCaches(caches ...*KVCache) *KVCache {
+func ConcatCaches(caches ...*KVCache) *KVCache { return ConcatCachesReserve(0, caches...) }
+
+// ConcatCachesReserve is ConcatCaches for a context about to be extended: the
+// result has room for extra more tokens, so contiguous storage is sized and
+// filled once and the forward pass that appends the suffix never regrows it.
+func ConcatCachesReserve(extra int, caches ...*KVCache) *KVCache {
 	if len(caches) == 0 {
 		panic("model: ConcatCaches needs at least one cache")
 	}
@@ -131,11 +150,16 @@ func ConcatCaches(caches ...*KVCache) *KVCache {
 	} else {
 		out = NewKVCache(cfg)
 	}
+	room := extra
 	for _, in := range caches {
 		if in.cfg.Name != cfg.Name || in.stride() != out.stride() || in.cfg.Layers != cfg.Layers {
 			panic(fmt.Sprintf("model: ConcatCaches architecture mismatch: %s vs %s", in.cfg.Name, cfg.Name))
 		}
-		out.store.appendFrom(in.store, in.n)
+		room += in.n
+	}
+	for _, in := range caches {
+		room -= in.n
+		out.store.appendFrom(in.store, in.n, room)
 		out.n += in.n
 	}
 	return out
@@ -183,14 +207,9 @@ func growFloats(b []float32, extra int) []float32 {
 	return nb
 }
 
-func (s *flatStore) layerK(layer, t, h int) []float32 {
-	off := t*s.stride() + h*s.cfg.HeadDim
-	return s.k[layer][off : off+s.cfg.HeadDim]
-}
-
-func (s *flatStore) layerV(layer, t, h int) []float32 {
-	off := t*s.stride() + h*s.cfg.HeadDim
-	return s.v[layer][off : off+s.cfg.HeadDim]
+func (s *flatStore) rows(layer, t int) (k, v []float32) {
+	off := t * s.stride()
+	return s.k[layer][off:], s.v[layer][off:]
 }
 
 func (s *flatStore) truncate(n int) {
@@ -209,12 +228,25 @@ func (s *flatStore) clone() kvStore {
 	return out
 }
 
-func (s *flatStore) appendFrom(src kvStore, tokens int) {
+func (s *flatStore) appendFrom(src kvStore, tokens, room int) {
+	room *= s.stride()
 	for l := 0; l < s.cfg.Layers; l++ {
 		k, v := src.layerData(l, tokens)
-		s.k[l] = append(s.k[l], k...)
-		s.v[l] = append(s.v[l], v...)
+		s.k[l] = appendWithRoom(s.k[l], k, room)
+		s.v[l] = appendWithRoom(s.v[l], v, room)
 	}
+}
+
+// appendWithRoom appends src to dst, and when dst is still empty allocates
+// room more elements of capacity in the same step. It does so by growing a
+// capacity-clamped view of src: the runtime then moves src into the new
+// array and zero-fills only the spare capacity, where make-then-copy would
+// zero-fill all of it first.
+func appendWithRoom(dst, src []float32, room int) []float32 {
+	if len(dst) == 0 && room > 0 && cap(dst) < len(src)+room {
+		return slices.Grow(src[:len(src):len(src)], room)
+	}
+	return append(dst, src...)
 }
 
 func (s *flatStore) layerData(l, n int) (k, v []float32) {

@@ -71,6 +71,9 @@ func (w *Weights) Forward(tokens, pos []int, mask Mask, cache *KVCache) *tensor.
 	}
 
 	s := newScratch(cfg, n)
+	vis := visPool.Get().(*visibility)
+	defer visPool.Put(vis)
+	vis.lower(mask, base, n)
 	for l := 0; l < cfg.Layers; l++ {
 		lw := &w.layers[l]
 
@@ -83,7 +86,7 @@ func (w *Weights) Forward(tokens, pos []int, mask Mask, cache *KVCache) *tensor.
 		for i := 0; i < n; i++ {
 			cache.appendToken(l, s.k.Row(i), s.v.Row(i))
 		}
-		w.attend(s, cache, l, base, n, mask)
+		w.attend(s, cache, l, base, n, vis)
 		tensor.MatMul(s.proj, s.attnOut, lw.wo)
 		addRows(h, s.proj)
 
@@ -209,120 +212,58 @@ func getScores(n int) *scoreBuf {
 	return sb
 }
 
-// rangePool recycles key-range buffers the same way: the ranger interfaces
-// take the buffer through an interface call, which pins it to the heap, so
-// without pooling every attention task would re-allocate it.
-var rangePool = sync.Pool{New: func() any { return &rangeBuf{} }}
-
-type rangeBuf struct{ r [][2]int }
-
 // attend computes masked grouped-query attention for layer l over the n new
 // tokens, whose K/V (and the whole prefix) are already in the cache, and
 // writes mixed values into s.attnOut. Work is split across
-// (head x query-block) tasks; each output element is produced by exactly
-// one task using the reference engine's scalar loops, so the result is
-// bit-identical to token-at-a-time attention at any pool width.
-func (w *Weights) attend(s *scratch, cache *KVCache, l, base, n int, mask Mask) {
+// (head x query-block) tasks. A query scores, weights and mixes only its
+// visible key ranges, and within a range the tensor kernels walk the store's
+// contiguous row runs several keys per pass; every score still sums its
+// products in ascending dimension order and every output element its weighted
+// values in ascending key order, so the result is bit-identical to the
+// reference engine's one-key-at-a-time loops at any pool width.
+func (w *Weights) attend(s *scratch, cache *KVCache, l, base, n int, vis *visibility) {
 	cfg := w.cfg
+	hd, stride := cfg.HeadDim, cache.stride()
 	groups := cfg.Heads / cfg.KVHeads
-	scale := float32(1 / math.Sqrt(float64(cfg.HeadDim)))
+	scale := float32(1 / math.Sqrt(float64(hd)))
 	qBlocks := (n + attnQueryBlock - 1) / attnQueryBlock
-	kr, _ := mask.(KeyRanger)
-	ekr, _ := mask.(ExactKeyRanger)
 	run := func(task int) {
 		hh := task / qBlocks
 		lo := (task % qBlocks) * attnQueryBlock
-		hi := lo + attnQueryBlock
-		if hi > n {
-			hi = n
-		}
-		kvHead := hh / groups
+		hi := min(lo+attnQueryBlock, n)
+		kvOff := hh / groups * hd // the kv head's columns within a row
 		sb := getScores(base + hi)
 		defer scorePool.Put(sb)
-		scores := sb.s
-		rb := rangePool.Get().(*rangeBuf)
-		defer rangePool.Put(rb)
-		ranges := rb.r
+		sc := sb.s
 		for i := lo; i < hi; i++ {
-			abs := base + i
-			ctx := abs + 1 // keys available to this query
-			qh := s.q.Row(i)[hh*cfg.HeadDim : (hh+1)*cfg.HeadDim]
-			sc := scores[:ctx]
-			visible := 0
-			score := func(klo, khi int) {
-				for t := klo; t < khi; t++ {
-					if t != abs && !mask.Allowed(abs, t) {
-						sc[t] = tensor.NegInf
-						continue
-					}
-					visible++
-					sc[t] = tensor.Dot(qh, cache.layerK(l, t, kvHead)) * scale
+			ranges := vis.of(i)
+			qh := s.q.Row(i)[hh*hd : (hh+1)*hd]
+			maxv, visible := tensor.NegInf, 0
+			for _, r := range ranges {
+				visible += r[1] - r[0]
+				for t := r[0]; t < r[1]; {
+					k, _ := cache.store.rows(l, t)
+					m := min(r[1]-t, len(k)/stride)
+					maxv = tensor.DotRows(sc[t:t+m], qh, k[kvOff:], stride, scale, maxv)
+					t += m
 				}
 			}
-			if ekr != nil {
-				// Exact fast path: every in-range key is allowed by contract,
-				// so there are no per-key mask calls and no NegInf entries to
-				// write, weight, or skip — per-query work is O(visible keys).
-				ranges = ekr.ExactKeyRanges(abs, ranges[:0])
-				rb.r = ranges
-				for _, r := range ranges {
-					if klo, khi := r[0], min(r[1], ctx); klo < khi {
-						for t := klo; t < khi; t++ {
-							sc[t] = tensor.Dot(qh, cache.layerK(l, t, kvHead)) * scale
-						}
-						visible += khi - klo
-					}
+			applyAttnWeightsRanges(cfg.Attn, sc, ranges, maxv, visible)
+			out := s.attnOut.Row(i)[hh*hd : (hh+1)*hd]
+			clear(out)
+			for _, r := range ranges {
+				for t := r[0]; t < r[1]; {
+					_, v := cache.store.rows(l, t)
+					m := min(r[1]-t, len(v)/stride)
+					tensor.AxpyRows(out, sc[t:t+m], v[kvOff:], stride)
+					t += m
 				}
-				applyAttnWeightsRanges(cfg.Attn, sc, ranges, ctx, visible)
-			} else if kr != nil {
-				// Sparse fast path: everything outside the advertised
-				// ranges is masked by contract, and the weight pass below
-				// visits only the ranges, so out-of-range entries need no
-				// NegInf fill — they are never scored, weighted, or mixed.
-				// Total per-query work is O(own context), not O(packed
-				// batch context).
-				ranges = kr.KeyRanges(abs, ranges[:0])
-				rb.r = ranges
-				for _, r := range ranges {
-					if klo, khi := r[0], min(r[1], ctx); klo < khi {
-						score(klo, khi)
-					}
-				}
-				applyAttnWeightsRanges(cfg.Attn, sc, ranges, ctx, visible)
-			} else {
-				score(0, ctx)
-				applyAttnWeights(cfg.Attn, sc, visible)
-			}
-			out := s.attnOut.Row(i)[hh*cfg.HeadDim : (hh+1)*cfg.HeadDim]
-			for d := range out {
-				out[d] = 0
-			}
-			mix := func(klo, khi int) {
-				for t := klo; t < khi; t++ {
-					p := sc[t]
-					if p == 0 {
-						continue
-					}
-					vt := cache.layerV(l, t, kvHead)
-					for d := range out {
-						out[d] += p * vt[d]
-					}
-				}
-			}
-			if ekr != nil || kr != nil {
-				for _, r := range ranges {
-					if klo, khi := r[0], min(r[1], ctx); klo < khi {
-						mix(klo, khi)
-					}
-				}
-			} else {
-				mix(0, ctx)
 			}
 		}
 	}
 	tasks := cfg.Heads * qBlocks
 	// Average context length per query is base + (n+1)/2.
-	if tasks == 1 || cfg.Heads*n*(base+(n+1)/2)*cfg.HeadDim < 1<<15 {
+	if tasks == 1 || cfg.Heads*n*(base+(n+1)/2)*hd < 1<<15 {
 		for task := 0; task < tasks; task++ {
 			run(task)
 		}
@@ -331,15 +272,15 @@ func (w *Weights) attend(s *scratch, cache *KVCache, l, base, n int, mask Mask) 
 	tensor.Parallel(tasks, run)
 }
 
-// applyAttnWeightsRanges is applyAttnWeights restricted to a query's
-// advertised key ranges. Entries outside the ranges are masked by the
-// KeyRanger contract — exactly the NegInf entries the dense pass would write
-// and then skip — so visiting only the ranges, in the same ascending index
-// order, produces bit-identical weights. Out-of-range score entries are left
+// applyAttnWeightsRanges is applyAttnWeights over a query's visible key
+// ranges, given the maximum score the score pass found. Keys outside the
+// ranges are exactly the NegInf entries the dense pass would write and then
+// skip, so visiting only the ranges, in the same ascending index order,
+// produces bit-identical weights. Out-of-range score entries are left
 // untouched: the value mix walks the same ranges and never reads them.
-func applyAttnWeightsRanges(kind AttnKind, scores []float32, ranges [][2]int, ctx, visible int) {
+func applyAttnWeightsRanges(kind AttnKind, scores []float32, ranges [][2]int, maxv float32, visible int) {
 	if kind == AttnSoftmax {
-		softmaxRanges(scores, ranges, ctx)
+		softmaxRanges(scores, ranges, maxv)
 		return
 	}
 	if visible <= 0 {
@@ -347,7 +288,7 @@ func applyAttnWeightsRanges(kind AttnKind, scores []float32, ranges [][2]int, ct
 	}
 	inv := 1 / float32(visible)
 	for _, r := range ranges {
-		for t, hi := r[0], min(r[1], ctx); t < hi; t++ {
+		for t := r[0]; t < r[1]; t++ {
 			s := scores[t]
 			if s == tensor.NegInf {
 				scores[t] = 0
@@ -358,32 +299,23 @@ func applyAttnWeightsRanges(kind AttnKind, scores []float32, ranges [][2]int, ct
 	}
 }
 
-// softmaxRanges mirrors tensor.Softmax over the in-range entries only.
-// Because ranges are disjoint and ascending (the KeyRanger contract), the
-// scalar visit order — and therefore every float32 accumulation — matches a
-// dense softmax whose out-of-range entries are all NegInf, bit for bit.
-func softmaxRanges(v []float32, ranges [][2]int, ctx int) {
-	maxv := float32(math.Inf(-1))
-	for _, r := range ranges {
-		for t, hi := r[0], min(r[1], ctx); t < hi; t++ {
-			if v[t] > maxv {
-				maxv = v[t]
-			}
-		}
-	}
+// softmaxRanges mirrors tensor.Softmax over the in-range entries only, with
+// its max pass already done by the score kernel. Because ranges are disjoint
+// and ascending, the scalar visit order — and therefore every float32
+// accumulation — matches a dense softmax whose out-of-range entries are all
+// NegInf, bit for bit.
+func softmaxRanges(v []float32, ranges [][2]int, maxv float32) {
 	if math.IsInf(float64(maxv), -1) {
 		for _, r := range ranges {
-			for t, hi := r[0], min(r[1], ctx); t < hi; t++ {
-				v[t] = 0
-			}
+			clear(v[r[0]:r[1]])
 		}
 		return
 	}
 	var sum float32
 	for _, r := range ranges {
-		for t, hi := r[0], min(r[1], ctx); t < hi; t++ {
+		for t := r[0]; t < r[1]; t++ {
 			x := v[t]
-			// Masked entries contribute exactly exp(-Inf) == 0; skipping the
+			// A score of -Inf contributes exactly exp(-Inf) == 0; skipping the
 			// Exp call is bit-identical (same as tensor.Softmax).
 			if math.IsInf(float64(x), -1) {
 				v[t] = 0
@@ -399,7 +331,7 @@ func softmaxRanges(v []float32, ranges [][2]int, ctx int) {
 	}
 	inv := 1 / sum
 	for _, r := range ranges {
-		for t, hi := r[0], min(r[1], ctx); t < hi; t++ {
+		for t := r[0]; t < r[1]; t++ {
 			v[t] *= inv
 		}
 	}

@@ -1,5 +1,7 @@
 package model
 
+import "sync"
+
 // Mask decides which attention edges are allowed. Indices are absolute
 // positions in the full context (prefix cache tokens first, then the tokens
 // being computed), so a mask describes the whole prompt layout regardless of
@@ -56,4 +58,62 @@ type ExactKeyRanger interface {
 // ExactKeyRanges implements ExactKeyRanger: every causal key is allowed.
 func (CausalMask) ExactKeyRanges(q int, dst [][2]int) [][2]int {
 	return append(dst, [2]int{0, q + 1})
+}
+
+// visibility is a mask lowered for one forward pass: for each new query, the
+// ascending, disjoint ranges holding exactly the keys it attends to, already
+// clamped to its causal horizon. Attention walks these ranges and nothing
+// else — no per-key mask calls, no NegInf sentinels — whatever the mask's
+// own form. A masked key contributes exactly zero weight (exp(-Inf) == 0) to
+// a dense pass that visits it in the same ascending order, so skipping it
+// changes only the work done, never the result.
+type visibility struct {
+	off  []int // query i's ranges are flat[off[i]:off[i+1]]
+	flat [][2]int
+}
+
+// visPool recycles lowered masks across Forward calls.
+var visPool = sync.Pool{New: func() any { return &visibility{} }}
+
+func (v *visibility) of(i int) [][2]int { return v.flat[v.off[i]:v.off[i+1]] }
+
+// lower fills v for queries at absolute indices [base, base+n). An
+// ExactKeyRanger's ranges are only clamped; any other mask is run-length
+// encoded by asking Allowed about every key of its KeyRanges (or of the whole
+// causal context) once — a query always sees itself.
+func (v *visibility) lower(mask Mask, base, n int) {
+	v.off, v.flat = append(v.off[:0], 0), v.flat[:0]
+	ekr, exact := mask.(ExactKeyRanger)
+	kr, _ := mask.(KeyRanger)
+	for q := base; q < base+n; q++ {
+		start := len(v.flat)
+		switch {
+		case exact:
+			v.flat = ekr.ExactKeyRanges(q, v.flat)
+		case kr != nil:
+			v.flat = kr.KeyRanges(q, v.flat)
+		default:
+			v.flat = append(v.flat, [2]int{0, q + 1})
+		}
+		// v.flat[start:end] are candidate ranges; the visible ranges are
+		// appended behind them, then moved down over them.
+		end := len(v.flat)
+		for c := start; c < end; c++ {
+			lo, hi := v.flat[c][0], min(v.flat[c][1], q+1)
+			for t := lo; !exact && t < hi; t++ {
+				if t == q || mask.Allowed(q, t) {
+					continue
+				}
+				if lo < t {
+					v.flat = append(v.flat, [2]int{lo, t})
+				}
+				lo = t + 1
+			}
+			if lo < hi {
+				v.flat = append(v.flat, [2]int{lo, hi})
+			}
+		}
+		v.flat = append(v.flat[:start], v.flat[end:]...)
+		v.off = append(v.off, len(v.flat))
+	}
 }

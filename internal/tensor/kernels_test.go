@@ -193,3 +193,118 @@ func TestDotUnrollTails(t *testing.T) {
 		}
 	}
 }
+
+// sameBits reports whether a and b hold the same float32 bit patterns, which
+// unlike MaxAbsDiff tells -0 from +0 and one NaN from another.
+func sameBits(a, b []float32) bool {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// TestDotRowsMatchesDot: the tiled score kernel must equal one Dot per row,
+// times scale, at every row count mod the tile, with rows wider than the
+// vector (a head inside a GQA row), and must return the running maximum a
+// sequential scan finds.
+func TestDotRowsMatchesDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	const dim, stride, scale = 6, 10, 0.375
+	q := make([]float32, dim)
+	for i := range q {
+		q[i] = rng.Float32() - 0.5
+	}
+	for n := 0; n <= 2*rowTile+1; n++ {
+		rows := make([]float32, max(n-1, 0)*stride+dim) // the last row ends with the slab
+		for i := range rows {
+			rows[i] = rng.Float32() - 0.5
+		}
+		want := make([]float32, n)
+		wantMax := float32(-0.01)
+		for j := range want {
+			want[j] = Dot(q, rows[j*stride:j*stride+dim]) * scale
+			if want[j] > wantMax {
+				wantMax = want[j]
+			}
+		}
+		got := make([]float32, n)
+		gotMax := DotRows(got, q, rows, stride, scale, -0.01)
+		if !sameBits(got, want) || gotMax != wantMax {
+			t.Fatalf("%d rows: DotRows = %v max %v, row-at-a-time = %v max %v", n, got, gotMax, want, wantMax)
+		}
+	}
+}
+
+// TestAxpyRowsMatchesRowAtATime: the tiled fold must equal folding one row
+// at a time, skipping zero coefficients, bit for bit — at every row count
+// mod the tile, with zeros planted at every position of a tile (their rows
+// hold Inf and NaN, which only the skip keeps out of the result), and with
+// -0 in the output and among the products.
+func TestAxpyRowsMatchesRowAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const dim, stride = 5, 9
+	negZero := float32(math.Copysign(0, -1))
+	for n := 0; n <= 3*rowTile+1; n++ {
+		for zeroAt := -1; zeroAt < n; zeroAt++ {
+			coef := make([]float32, n)
+			rows := make([]float32, max(n-1, 0)*stride+dim)
+			for i := range rows {
+				rows[i] = rng.Float32() - 0.5
+			}
+			for j := range coef {
+				coef[j] = rng.Float32() - 0.5
+				rows[j*stride] = -1e-30 // times a coefficient of 1e-30: a -0 product
+			}
+			if zeroAt >= 0 {
+				coef[zeroAt] = 0
+				rows[zeroAt*stride+1] = float32(math.Inf(1))
+				rows[zeroAt*stride+2] = float32(math.NaN())
+			}
+			if n > 1 && zeroAt != 1 {
+				coef[1] = 1e-30
+			}
+			want := []float32{negZero, 0, 0.25, negZero, -3}
+			got := append([]float32(nil), want...)
+			for j, c := range coef {
+				if c == 0 {
+					continue
+				}
+				for d := range want {
+					want[d] += c * rows[j*stride+d]
+				}
+			}
+			AxpyRows(got, coef, rows, stride)
+			if !sameBits(got, want) {
+				t.Fatalf("%d rows, zero at %d: AxpyRows = %v, row-at-a-time = %v", n, zeroAt, got, want)
+			}
+		}
+	}
+}
+
+// TestMatMulTiledZeroSkip: with the panel fold tiled, MatMul must still equal
+// the plain triple loop bit for bit at every shared dimension mod the tile,
+// and a zero in a must still skip its row of b — planted rows hold Inf, which
+// a multiply by zero would turn into NaN.
+func TestMatMulTiledZeroSkip(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for k := 1; k <= 2*rowTile+1; k++ {
+		a := randSparseMatrix(rng, 3, k)
+		b := randSparseMatrix(rng, k, 7)
+		for kk := 0; kk < k; kk++ {
+			if kk%3 == 0 {
+				for i := 0; i < a.Rows; i++ {
+					a.Set(i, kk, 0)
+				}
+				b.Set(kk, kk%7, float32(math.Inf(1)))
+			}
+		}
+		want := matMulNaive(a, b)
+		got := NewMatrix(3, 7)
+		MatMul(got, a, b)
+		if !sameBits(got.Data, want.Data) {
+			t.Fatalf("k=%d: tiled MatMul = %v, naive = %v", k, got.Data, want.Data)
+		}
+	}
+}

@@ -19,15 +19,16 @@ import (
 //     which is how the engine keeps its "same bits at GOMAXPROCS=1 and N"
 //     guarantee.
 //  2. No deadlocks under nesting: the submitting goroutine always works the
-//     job itself, and helpers are recruited with a non-blocking send, so a
-//     Parallel call made from inside another Parallel callback (e.g. a
-//     batched Forward inside a parallel item-cache precompute) completes
-//     even when every worker is busy.
+//     job itself and waits for its indices to finish, never for a helper to
+//     show up, so a Parallel call made from inside another Parallel callback
+//     (e.g. a batched Forward inside a parallel item-cache precompute)
+//     completes even when every worker is busy. A helper that dequeues a job
+//     after it has drained finds nothing to claim and moves on.
 //  3. Zero overhead when it cannot help: width 1 (GOMAXPROCS=1) or n<=1
 //     runs inline with no allocation and no synchronization.
 
 // parJob is one Parallel invocation. Participants claim indices from next
-// until the range [0, n) is exhausted.
+// until the range [0, n) is exhausted; wg counts the indices still to finish.
 type parJob struct {
 	fn   func(int)
 	n    int
@@ -35,17 +36,16 @@ type parJob struct {
 	wg   sync.WaitGroup
 }
 
-// work claims and runs indices until the job is drained, then signals the
-// participant's completion.
+// work claims and runs indices until the job is drained.
 func (j *parJob) work() {
 	for {
 		i := int(j.next.Add(1)) - 1
 		if i >= j.n {
-			break
+			return
 		}
 		j.fn(i)
+		j.wg.Done()
 	}
-	j.wg.Done()
 }
 
 var (
@@ -113,21 +113,15 @@ func Parallel(n int, fn func(i int)) {
 		return
 	}
 	j := &parJob{fn: fn, n: n}
-	j.wg.Add(1) // the caller participates
-	helpers := width - 1
-	if helpers > n-1 {
-		helpers = n - 1
-	}
+	j.wg.Add(n)
 recruit:
-	for h := 0; h < helpers; h++ {
-		j.wg.Add(1)
+	for h := min(width, n) - 1; h > 0; h-- {
 		select {
 		case poolJobs <- j:
 		default:
 			// Queue saturated: every worker is already busy, so recruiting
 			// more would only wait. The caller (and any helper already
 			// enlisted) still drains the job.
-			j.wg.Done()
 			break recruit
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestParallelRunsEveryIndexOnce pins the pool's core contract at several
@@ -50,6 +51,34 @@ func TestParallelNested(t *testing.T) {
 	})
 	if got := total.Load(); got != outer*inner {
 		t.Fatalf("nested Parallel ran %d inner calls, want %d", got, outer*inner)
+	}
+}
+
+// TestParallelNestedOneWorker: with a single pool worker, that worker's own
+// nested Parallel queues a helper slot nobody is free to take while the
+// caller waits for the worker. Waiting on enlisted helpers deadlocked here
+// (BenchmarkBipartiteExecuteCold on a 2-core box); waiting on finished
+// indices cannot.
+func TestParallelNestedOneWorker(t *testing.T) {
+	SetParallelism(2)
+	defer SetParallelism(0)
+	done := make(chan int64)
+	go func() {
+		var total atomic.Int64
+		for r := 0; r < 2000; r++ {
+			Parallel(2, func(int) {
+				Parallel(8, func(int) { total.Add(1) })
+			})
+		}
+		done <- total.Load()
+	}()
+	select {
+	case got := <-done:
+		if got != 2000*2*8 {
+			t.Fatalf("nested Parallel ran %d inner calls, want %d", got, 2000*2*8)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("nested Parallel deadlocked with one pool worker")
 	}
 }
 

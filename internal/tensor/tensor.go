@@ -98,50 +98,111 @@ func MatMul(dst, a, b *Matrix) {
 
 // matMulRows computes dst rows [lo, hi). The shared dimension is processed
 // in panels so the active rows of b stay cache-resident across the row
-// block, and the inner saxpy is 4-wide unrolled. Each dst element still
-// accumulates in increasing-k order with the same zero skip as a plain
-// vector-matrix product.
+// block, and each panel is folded into its output row by AxpyRows. Each dst
+// element still accumulates in increasing-k order with the same zero skip as
+// a plain vector-matrix product.
 func matMulRows(dst, a, b *Matrix, lo, hi int) {
 	k, p := a.Cols, b.Cols
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*p : (i+1)*p]
-		for j := range drow {
-			drow[j] = 0
-		}
-	}
+	clear(dst.Data[lo*p : hi*p])
 	for kb := 0; kb < k; kb += mmKBlock {
-		ke := kb + mmKBlock
-		if ke > k {
-			ke = k
-		}
+		ke := min(kb+mmKBlock, k)
 		for i := lo; i < hi; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			drow := dst.Data[i*p : (i+1)*p]
-			for kk := kb; kk < ke; kk++ {
-				av := arow[kk]
-				if av == 0 {
-					continue
-				}
-				saxpy(drow, b.Data[kk*p:(kk+1)*p], av)
-			}
+			AxpyRows(dst.Data[i*p:(i+1)*p], a.Data[i*k+kb:i*k+ke], b.Data[kb*p:], p)
 		}
 	}
 }
 
-// saxpy computes dst += s*src, 4-wide unrolled. Element order is unchanged —
-// each dst[j] sees exactly one add — so unrolling cannot perturb bits.
-func saxpy(dst, src []float32, s float32) {
+// rowTile is how many slab rows DotRows and AxpyRows walk per pass. A tile
+// gives the score loop one independent accumulator per row (a lone
+// accumulator is a dependent add chain) and lets the fold load and store each
+// output element once per tile instead of once per row; four rows keep every
+// operand in registers on amd64.
+const rowTile = 4
+
+// DotRows scores q against consecutive rows of a strided slab: for every j,
+// dst[j] = Dot(q, rows[j*stride:j*stride+len(q)]) * scale. It returns the
+// running maximum of maxv and the scores, compared in ascending j (the max
+// pass of a softmax, folded in). Each score sums q[d]*row[d] in strictly
+// ascending d into its own accumulator, so it is bit-identical to Dot.
+func DotRows(dst, q, rows []float32, stride int, scale, maxv float32) float32 {
 	j := 0
-	for ; j+4 <= len(dst); j += 4 {
-		d := dst[j : j+4 : j+4]
-		x := src[j : j+4 : j+4]
-		d[0] += s * x[0]
-		d[1] += s * x[1]
-		d[2] += s * x[2]
-		d[3] += s * x[3]
+	for ; j+rowTile <= len(dst); j += rowTile {
+		s0, s1, s2, s3 := dotTile(q, rows[j*stride:], stride)
+		d := dst[j : j+rowTile : j+rowTile]
+		d[0], d[1], d[2], d[3] = s0*scale, s1*scale, s2*scale, s3*scale
+		for _, s := range d {
+			if s > maxv {
+				maxv = s
+			}
+		}
 	}
 	for ; j < len(dst); j++ {
-		dst[j] += s * src[j]
+		s := Dot(q, rows[j*stride:][:len(q)]) * scale
+		dst[j] = s
+		if s > maxv {
+			maxv = s
+		}
+	}
+	return maxv
+}
+
+// dotTile returns q's inner products with the first rowTile rows of a slab.
+// It is its own function so the loop's few live values all stay in
+// registers; inside DotRows the compiler spills the loop counter.
+func dotTile(q, rows []float32, stride int) (s0, s1, s2, s3 float32) {
+	k0 := rows[:len(q)]
+	k1 := rows[stride:][:len(q)]
+	k2 := rows[2*stride:][:len(q)]
+	k3 := rows[3*stride:][:len(q)]
+	for d, x := range q {
+		s0 += x * k0[d]
+		s1 += x * k1[d]
+		s2 += x * k2[d]
+		s3 += x * k3[d]
+	}
+	return s0, s1, s2, s3
+}
+
+// AxpyRows folds consecutive rows of a strided slab into dst: for ascending
+// j, dst += coef[j] * rows[j*stride:j*stride+len(dst)], skipping rows whose
+// coefficient is zero. A tile's rows are added to each element in ascending
+// j before it is stored, which is the order a row-at-a-time fold produces; a
+// tile holding a zero coefficient takes the row-at-a-time step so the skip
+// (a zero coefficient never meets an Inf or NaN row) is preserved.
+func AxpyRows(dst, coef, rows []float32, stride int) {
+	j := 0
+	for ; j+rowTile <= len(coef); j += rowTile {
+		c0, c1, c2, c3 := coef[j], coef[j+1], coef[j+2], coef[j+3]
+		if c0 == 0 || c1 == 0 || c2 == 0 || c3 == 0 {
+			axpyRowsSkip(dst, coef, rows, stride, j, j+rowTile)
+			continue
+		}
+		o := j * stride
+		r0 := rows[o:][:len(dst)]
+		r1 := rows[o+stride:][:len(dst)]
+		r2 := rows[o+2*stride:][:len(dst)]
+		r3 := rows[o+3*stride:][:len(dst)]
+		for d, x := range dst {
+			x += c0 * r0[d]
+			x += c1 * r1[d]
+			x += c2 * r2[d]
+			x += c3 * r3[d]
+			dst[d] = x
+		}
+	}
+	axpyRowsSkip(dst, coef, rows, stride, j, len(coef))
+}
+
+// axpyRowsSkip is AxpyRows over rows [lo, hi), one row at a time.
+func axpyRowsSkip(dst, coef, rows []float32, stride, lo, hi int) {
+	for j := lo; j < hi; j++ {
+		c := coef[j]
+		if c == 0 {
+			continue
+		}
+		for d, r := range rows[j*stride:][:len(dst)] {
+			dst[d] += c * r
+		}
 	}
 }
 
