@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strings"
@@ -118,32 +119,11 @@ func main() {
 		serve(*basePort+1, meta.Handler(), "cache meta service")
 	}
 
-	// Evictions propagate to the meta service so /v1/locate never reports
-	// entries the pool already dropped.
-	unregister := func(worker int) func(key string) {
-		client := &http.Client{Timeout: *timeout}
-		return func(key string) {
-			kind, id, err := distserve.ParseCacheKey(key)
-			if err != nil {
-				return
-			}
-			body, err := json.Marshal(distserve.RegisterRequest{
-				EntryRef: distserve.EntryRef{Kind: kind, ID: id}, Worker: worker,
-			})
-			if err != nil {
-				return
-			}
-			resp, err := client.Post(metaURL+"/v1/unregister", "application/json", bytes.NewReader(body))
-			if err == nil {
-				resp.Body.Close()
-			}
-		}
-	}
-
 	// With -chaos each worker's public port serves a fault proxy in front of
 	// the real worker (listening workers positions further up), so faults can
 	// be injected into a live deployment without killing processes.
 	var workerURLs []string
+	var cacheWorkers []*distserve.CacheWorker
 	var proxies []*distserve.FaultProxy
 	if attach {
 		for _, u := range strings.Split(*attachWorkers, ",") {
@@ -160,7 +140,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("batdist: %v", err)
 		}
-		cw.SetEvictHook(unregister(i))
+		cacheWorkers = append(cacheWorkers, cw)
 		handler := cw.Handler()
 		if mode == partition.Adaptive {
 			// Each worker runs its own capacity partition controller: the
@@ -219,6 +199,14 @@ func main() {
 	})
 	if err != nil {
 		log.Fatalf("batdist: %v", err)
+	}
+	// Evictions propagate to the meta service so /v1/locate never reports
+	// entries the pool already dropped. Every worker's hook calls meta on the
+	// frontend's client (bounded by -transfer-timeout), sharing its warm
+	// connections. The hooks go in before the frontend that stores into the
+	// workers starts serving.
+	for i, cw := range cacheWorkers {
+		cw.SetEvictHook(unregisterHook(frontend.Client(), metaURL, i))
 	}
 	guard := distserve.NewPoolGuard(frontend, distserve.PoolGuardConfig{
 		ProbeInterval: *probeInterval,
@@ -279,4 +267,27 @@ func main() {
 	}()
 
 	log.Fatal(<-errs)
+}
+
+// unregisterHook is one cache worker's eviction hook: it un-registers each
+// evicted key's binding from the meta service, reading the reply to EOF so
+// the connection goes back to the client's idle pool.
+func unregisterHook(client *http.Client, metaURL string, worker int) func(key string) {
+	return func(key string) {
+		kind, id, err := distserve.ParseCacheKey(key)
+		if err != nil {
+			return
+		}
+		body, err := json.Marshal(distserve.RegisterRequest{
+			EntryRef: distserve.EntryRef{Kind: kind, ID: id}, Worker: worker,
+		})
+		if err != nil {
+			return
+		}
+		resp, err := client.Post(metaURL+"/v1/unregister", "application/json", bytes.NewReader(body))
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}
 }

@@ -69,6 +69,8 @@ func main() {
 			MaxQueue:        *queueDepth,
 			DefaultDeadline: *defaultDeadline,
 		},
+		// No Transport: the client rides the router's own keep-alive
+		// transport, keeping this timeout.
 		Client:       &http.Client{Timeout: *timeout},
 		PollInterval: *pollInterval,
 		FailAfter:    *failAfter,

@@ -551,7 +551,12 @@ func (w *CacheWorker) Handler() http.Handler {
 				http.Error(rw, "miss", http.StatusNotFound)
 				return
 			}
+			// A declared length sends the payload unchunked: the reader's
+			// decoder, which stops at the last layer frame, then sits at the
+			// body's end, and one more read confirms EOF and keeps the
+			// connection (fetchCache).
 			rw.Header().Set("Content-Type", "application/octet-stream")
+			rw.Header().Set("Content-Length", strconv.Itoa(len(data)))
 			if _, err := rw.Write(data); err != nil {
 				return // client went away
 			}

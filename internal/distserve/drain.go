@@ -201,7 +201,11 @@ func (w *CacheWorker) drainTo(r *http.Request, req DrainRequest) DrainResponse {
 		}
 	}
 
-	client := &http.Client{}
+	// A drain is one bulk push per peer and two meta calls, one after the
+	// other: a transport keeping one idle connection per host carries it,
+	// and closes with the drain instead of lingering in the worker.
+	client, transport := routing.OwnedClient(nil, 1, nil)
+	defer transport.CloseIdleConnections()
 	accepted := make(map[string]int, len(snapshot))
 	var regs []RegisterRequest
 	targets := make([]int, 0, len(perTarget))
@@ -286,6 +290,7 @@ func pushBulkStream(ctx context.Context, client *http.Client, peerURL string, en
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, atomic.LoadInt64(&sent), err
 	}
+	routing.DrainBody(resp.Body)
 	return &out, atomic.LoadInt64(&sent), nil
 }
 
@@ -430,8 +435,8 @@ func (f *Frontend) DrainWorker(ctx context.Context, worker int) (*DrainResponse,
 	hreq.Header.Set("Content-Type", "application/json")
 	// Not the transfer engine's client: a drain moves a whole worker's
 	// contents and must outlive the per-attempt transfer timeout. The
-	// caller's context is the only bound.
-	resp, err := (&http.Client{}).Do(hreq)
+	// caller's context is the only bound; the connection is the frontend's.
+	resp, err := (&http.Client{Transport: f.cfg.Client.Transport}).Do(hreq)
 	if err != nil {
 		// The worker never started draining; return it to service.
 		f.SetWorkerDraining(worker, false)
@@ -449,6 +454,7 @@ func (f *Frontend) DrainWorker(ctx context.Context, worker int) (*DrainResponse,
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, err
 	}
+	routing.DrainBody(resp.Body)
 	// The worker's content moved elsewhere; its delta prefixes went with it.
 	f.forgetWorkerPrefixes(worker)
 	f.drainsCtr.Inc()

@@ -107,6 +107,9 @@ func (p *FaultProxy) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Header = r.Header.Clone()
+	// Lengths pass through both ways (the response's rides the header copy
+	// below), so a proxied KV payload is no more chunked than a direct one.
+	req.ContentLength = r.ContentLength
 	resp, err := p.client.Do(req)
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadGateway)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -51,7 +52,9 @@ type FrontendConfig struct {
 	TopK int
 	// Client issues the HTTP calls. Defaults to a client bounded by
 	// Transfer.Timeout — never a timeout-less http.DefaultClient, so a hung
-	// cache worker cannot wedge requests.
+	// cache worker cannot wedge requests. A client without a Transport (the
+	// default included) rides the frontend's own keep-alive transport, which
+	// Close shuts; a client with a Transport is used as is.
 	Client *http.Client
 	// Transfer tunes the fault-tolerant transfer engine (timeouts, retries,
 	// circuit breakers, fetch parallelism). Zero value = defaults.
@@ -108,8 +111,12 @@ type Frontend struct {
 	cfg      FrontendConfig
 	ranker   *ranking.Ranker
 	transfer *transferClient
-	est      *costmodel.Estimator
-	core     *serving.Core
+	// transport is the keep-alive transport the frontend built for itself
+	// (nil when FrontendConfig.Client brought its own); every call to the
+	// meta service and the cache workers rides it.
+	transport *http.Transport
+	est       *costmodel.Estimator
+	core      *serving.Core
 	// ring shards entries across the cache workers (the shared consistent
 	// walk from internal/routing; liveness comes from alive/draining).
 	ring routing.Ring
@@ -278,7 +285,6 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	}
 	f.draining = make([]bool, len(cfg.CacheWorkers))
 	f.lastPurge = make([]time.Time, len(cfg.CacheWorkers))
-	f.transfer = newTransferClient(cfg.Client, cfg.Transfer, len(cfg.CacheWorkers))
 	core, err := serving.NewCore(serving.Config{
 		Dataset:               cfg.Dataset,
 		Ranker:                r,
@@ -298,6 +304,25 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	}
 	f.core = core
 	reg := core.Observer().Registry()
+	// Calls in flight to one host are bounded by the requests admission lets
+	// in (in-flight plus queue: each one plans — meta calls, then a fetch —
+	// from enqueue on), the write-behind store workers, and the pool guard's
+	// probe and scrub loops. Keeping that many idle connections per host
+	// lets every call find a warm one; dials are counted per target kind.
+	adm := core.Admission().Config()
+	metaAddr := dialAddr(cfg.MetaURL)
+	metaDials := reg.Counter(`bat_transfer_dials_total{target="meta"}`)
+	workerDials := reg.Counter(`bat_transfer_dials_total{target="worker"}`)
+	f.cfg.Client, f.transport = routing.OwnedClient(cfg.Client,
+		adm.MaxInFlight+adm.MaxQueue+cfg.Transfer.StoreWorkers+2,
+		func(addr string) {
+			if addr == metaAddr {
+				metaDials.Inc()
+			} else {
+				workerDials.Inc()
+			}
+		})
+	f.transfer = newTransferClient(f.cfg.Client, cfg.Transfer, len(cfg.CacheWorkers))
 	f.fetchCtr = make(map[string]*metrics.Counter, len(fetchOutcomes))
 	for _, o := range fetchOutcomes {
 		f.fetchCtr[o] = reg.Counter(`bat_fetch_total{outcome="` + o + `"}`)
@@ -399,7 +424,8 @@ func (f *Frontend) observeFetch(ctx context.Context, worker int, kind, outcome s
 // store queue for up to CloseFlushTimeout before stopping the store workers,
 // so caches committed just before shutdown reach the pool instead of being
 // silently abandoned. Stores still unfinished when the timeout expires are
-// dropped and counted under bat_close_dropped_stores_total.
+// dropped and counted under bat_close_dropped_stores_total. Last, the
+// frontend's own transport closes its idle connections.
 func (f *Frontend) Close() {
 	f.core.Close()
 	timeout := f.cfg.CloseFlushTimeout
@@ -425,6 +451,31 @@ func (f *Frontend) Close() {
 		f.storeCond.Broadcast()
 		f.storeMu.Unlock()
 	}
+	if f.transport != nil {
+		f.transport.CloseIdleConnections()
+	}
+}
+
+// Client is the HTTP client the frontend calls the meta service and the cache
+// workers with. A co-located caller of the same hosts — batdist's eviction
+// hook un-registering from meta — shares its warm connections through it.
+func (f *Frontend) Client() *http.Client { return f.cfg.Client }
+
+// dialAddr is the host:port a transport dials for a base URL — the form its
+// DialContext sees — so dials can be attributed to a target.
+func dialAddr(base string) string {
+	u, err := url.Parse(base)
+	if err != nil {
+		return ""
+	}
+	port := u.Port()
+	if port == "" {
+		port = "80"
+		if u.Scheme == "https" {
+			port = "443"
+		}
+	}
+	return net.JoinHostPort(u.Hostname(), port)
 }
 
 // replication is the effective replication factor: the configured RF clamped
@@ -1078,9 +1129,14 @@ func (f *Frontend) fetchItemCacheShared(ctx context.Context, it int) *model.KVCa
 // the codec's frame decoder — decode cost hides under receive time, and the
 // full payload is never buffered separately. A truncated or corrupt stream is
 // a decode-error miss (the decoder installs nothing on failure, so a partial
-// body can never masquerade as a hit). A 404 means the worker evicted the
-// entry, so the stale meta binding is unregistered. Every round trip lands in
-// the request's trace as a StageFetch span plus an outcome counter.
+// body can never masquerade as a hit). The decoder stops at the last layer
+// frame, so a decoded body is read on to EOF before it closes: only then does
+// the transport keep the connection, and the next fetch from this worker
+// skips the dial. A decode error closes the body where it stands, which drops
+// a connection whose stream position is unknown. A 404 means the worker
+// evicted the entry, so the stale meta binding is unregistered. Every round
+// trip lands in the request's trace as a StageFetch span plus an outcome
+// counter.
 func (f *Frontend) fetchCache(ctx context.Context, worker int, kind string, id uint64) *model.KVCache {
 	if worker < 0 || worker >= len(f.cfg.CacheWorkers) {
 		return nil
@@ -1102,13 +1158,13 @@ func (f *Frontend) fetchCache(ctx context.Context, worker int, kind string, id u
 	}
 	defer body.Close()
 	if status == http.StatusNotFound {
-		io.Copy(io.Discard, body)
+		routing.DrainBody(body)
 		f.observeFetch(ctx, worker, kind, "miss", tries, start)
 		f.metaUnregister(ctx, kind, id, worker)
 		return nil
 	}
 	if status != http.StatusOK {
-		io.Copy(io.Discard, body)
+		routing.DrainBody(body)
 		f.observeFetch(ctx, worker, kind, "error", tries, start)
 		return nil
 	}
@@ -1119,6 +1175,7 @@ func (f *Frontend) fetchCache(ctx context.Context, worker int, kind string, id u
 		f.observeFetch(ctx, worker, kind, "decode-error", tries, start)
 		return nil
 	}
+	routing.DrainBody(body)
 	f.countBytes("rx", kind, "full", n)
 	f.streamFetches.Inc()
 	f.observeFetch(ctx, worker, kind, "hit", tries, start)

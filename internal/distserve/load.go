@@ -111,6 +111,7 @@ func fetchResidentIDs(ctx context.Context, client *http.Client, base, kind strin
 	if err := json.NewDecoder(resp.Body).Decode(&keys); err != nil {
 		return nil, err
 	}
+	routing.DrainBody(resp.Body)
 	return keys.IDs, nil
 }
 

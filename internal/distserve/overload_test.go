@@ -259,7 +259,9 @@ func TestChaosWorkerDeathSelfHeals(t *testing.T) {
 		deadline := time.Now().Add(5 * time.Second)
 		for !cond() {
 			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s; guard stats %+v", what, guard.Stats())
+				st := d.frontend.Stats()
+				t.Fatalf("timed out waiting for %s; guard stats %+v; fetch errors %d, worker 0 transfer health %+v",
+					what, guard.Stats(), st.FetchErrors, st.Workers[0])
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
@@ -320,8 +322,16 @@ func TestChaosWorkerDeathSelfHeals(t *testing.T) {
 		return false
 	})
 	// And the rejoined worker refills through the normal store path. Drop the
-	// chosen user's surviving bindings first (as an eviction would), so the
-	// next request recomputes and stores to the user's home worker again.
+	// chosen user's surviving bindings first (as an eviction would), so each
+	// request for that user recomputes and stores to its home worker again.
+	//
+	// Refill is promised eventually, not on the first store: stores route
+	// back at once, but the worker's transfer breaker may still be open from
+	// the death (the stores queued at the kill tripped it), and a store it
+	// refuses is dropped like any breaker-open transfer — counted as a fetch
+	// error, not retried. The first store the breaker admits (its half-open
+	// probe, one cooldown after it opened) lands. So rank, flush the store
+	// queue, and look, until it has.
 	rejoinUser := -1
 	for u := 0; u < users; u++ {
 		if d.frontend.userWorker(u) == 0 {
@@ -337,10 +347,11 @@ func TestChaosWorkerDeathSelfHeals(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	if _, err := d.frontend.Rank(context.Background(), RankRequest{UserID: rejoinUser, CandidateIDs: []int{6, 7}}); err != nil {
-		t.Fatal(err)
-	}
 	waitFor("rejoined worker refilled", func() bool {
+		if _, err := d.frontend.Rank(context.Background(), RankRequest{UserID: rejoinUser, CandidateIDs: []int{6, 7}}); err != nil {
+			t.Fatal(err)
+		}
+		flushFrontend(t, d.frontend)
 		for _, loc := range d.locate(t, "user", rejoinUser) {
 			if loc == 0 {
 				return true

@@ -9,6 +9,7 @@ import (
 
 	"bat/internal/bipartite"
 	"bat/internal/placement"
+	"bat/internal/routing"
 	"bat/internal/workload"
 )
 
@@ -216,6 +217,7 @@ func (g *PoolGuard) probe(worker int) bool {
 	if err != nil {
 		return false
 	}
+	routing.DrainBody(resp.Body)
 	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
 }

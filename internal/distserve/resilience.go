@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"bat/internal/routing"
 )
 
 // The transfer engine is the layer §3.3/§5 lean on: KV payloads must move
@@ -447,7 +449,7 @@ func (t *transferClient) getStream(ctx context.Context, target int, url string) 
 			continue
 		}
 		if resp.StatusCode >= http.StatusInternalServerError {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, maxMetaResponse))
+			routing.DrainBody(resp.Body)
 			resp.Body.Close()
 			cancel()
 			ts.record(t.cfg.BreakerThreshold, t.now(), t.now().Sub(start), probe, false, fmt.Sprintf("status %d", resp.StatusCode))

@@ -17,7 +17,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -193,7 +192,7 @@ func (g *PoolGuard) kvProbe(ctx context.Context, worker int, kind string, id uin
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	io.Copy(io.Discard, resp.Body)
+	routing.DrainBody(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return 0, 0, resp.StatusCode, nil
@@ -269,6 +268,9 @@ func (f *Frontend) replicateRaw(ctx context.Context, src, dst int, kind string, 
 		body.Close()
 		return false
 	}
+	// The source's declared length passes through: the PUT goes out
+	// unchunked, and the transport reads the source body to its EOF while
+	// checking that length, so both connections stay warm.
 	req.ContentLength = contentLength
 	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := f.cfg.Client.Do(req)
@@ -276,7 +278,7 @@ func (f *Frontend) replicateRaw(ctx context.Context, src, dst int, kind string, 
 		// Client.Do closed the request body (our src stream) on its way out.
 		return false
 	}
-	io.Copy(io.Discard, resp.Body)
+	routing.DrainBody(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNoContent {
 		return false

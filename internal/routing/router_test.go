@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,12 +19,15 @@ import (
 )
 
 // fakeFrontend is a minimal frontend: /v1/load reports a fixed residency
-// summary and zero load, /v1/rank answers 200 and counts.
+// summary and zero load, /v1/rank answers 200 and counts. conns counts the
+// connections it accepts.
 type fakeFrontend struct {
-	ranks atomic.Int64
-	users []uint64
-	block chan struct{} // non-nil: /v1/rank waits for a receive
-	srv   *httptest.Server
+	ranks   atomic.Int64
+	conns   atomic.Int64
+	users   []uint64
+	block   chan struct{} // non-nil: /v1/rank waits for a receive
+	blocked atomic.Int64  // /v1/rank calls that have waited on block
+	srv     *httptest.Server
 }
 
 func newFakeFrontend(t *testing.T, users ...uint64) *fakeFrontend {
@@ -41,12 +48,19 @@ func newFakeFrontend(t *testing.T, users ...uint64) *fakeFrontend {
 	})
 	mux.HandleFunc("/v1/rank", func(w http.ResponseWriter, r *http.Request) {
 		if f.block != nil {
+			f.blocked.Add(1)
 			<-f.block
 		}
 		f.ranks.Add(1)
 		fmt.Fprint(w, `{"items":[]}`)
 	})
-	f.srv = httptest.NewServer(mux)
+	f.srv = httptest.NewUnstartedServer(mux)
+	f.srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			f.conns.Add(1)
+		}
+	}
+	f.srv.Start()
 	t.Cleanup(f.srv.Close)
 	return f
 }
@@ -261,6 +275,117 @@ func TestRouterShedsAtCapacity(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRouterReusesFrontendConnections: a warm router proxies over the
+// connections it already holds — with one caller, and with as many callers
+// as its in-flight bound, it opens no new connection to a frontend. Its dial
+// counter agrees with what the frontend accepted, and Close leaves no
+// connection behind.
+func TestRouterReusesFrontendConnections(t *testing.T) {
+	const callers = 4
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	baseLoops := clientConnLoops()
+	a := newFakeFrontend(t)
+	r, err := NewRouter(RouterConfig{
+		Frontends:    []string{a.srv.URL},
+		PollInterval: -1,
+		Admission:    admission.Config{MaxInFlight: callers},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeRouter := sync.OnceFunc(r.Close)
+	t.Cleanup(closeRouter)
+	srv := httptest.NewServer(r.Handler())
+	defer srv.Close()
+
+	clients := make([]*http.Client, callers)
+	for i := range clients {
+		clients[i] = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 1}}
+	}
+	post := func(c *http.Client, user int) {
+		resp, err := c.Post(srv.URL+"/v1/rank", "application/json", rankBody(uint64(user)))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("rank status %d", resp.StatusCode)
+		}
+	}
+	concurrently := func(n int) {
+		var wg sync.WaitGroup
+		for _, c := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < n; i++ {
+					post(c, i)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	post(clients[0], 0)
+	accepted := a.conns.Load()
+	for i := 0; i < 50; i++ {
+		post(clients[0], i)
+	}
+	r.PollNow()
+	if n := a.conns.Load() - accepted; n != 0 {
+		t.Fatalf("50 serial proxied requests and a poll opened %d new connections, want 0", n)
+	}
+
+	// Seat `callers` connections: that many proxied requests park in the
+	// frontend until all of them have arrived.
+	a.block = make(chan struct{})
+	seated := make(chan struct{})
+	go func() {
+		concurrently(1)
+		close(seated)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for a.blocked.Load() < callers {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests reached the frontend", a.blocked.Load(), callers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(a.block)
+	<-seated
+	accepted = a.conns.Load()
+	concurrently(50)
+	r.PollNow()
+	if n := a.conns.Load() - accepted; n != 0 {
+		t.Fatalf("%d proxied requests from %d concurrent callers opened %d new connections, want 0", 50*callers, callers, n)
+	}
+
+	if d, n := r.reg.Counter(`bat_transfer_dials_total{target="frontend"}`).Value(), a.conns.Load(); d != n {
+		t.Fatalf("bat_transfer_dials_total says %d dials, the frontend accepted %d connections", d, n)
+	}
+	for _, c := range clients {
+		c.CloseIdleConnections()
+	}
+	closeRouter()
+	deadline = time.Now().Add(5 * time.Second)
+	for clientConnLoops() > baseLoops {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d client connections outlived Router.Close (baseline %d)", clientConnLoops(), baseLoops)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// clientConnLoops counts live client-side HTTP connections in the process
+// (one read loop each).
+func clientConnLoops() int {
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	return bytes.Count(buf[:n], []byte("net/http.(*persistConn).readLoop"))
 }
 
 func metricsText(t *testing.T, base string) string {
