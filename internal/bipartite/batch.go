@@ -135,8 +135,17 @@ func ExecuteBatchCancelable(w *model.Weights, items []BatchItem, cancels []func(
 	}
 	sufTokens := make([]int, 0, totalSuffix)
 	sufPos := make([]int, 0, totalSuffix)
+	// readRows are the packed suffix rows whose hidden states the runs read;
+	// item i's are readRows[readRange[i][0]:readRange[i][1]].
+	var readRows []int
+	readRange := make([][2]int, n)
 	for _, i := range alive {
 		l := items[i].Layout
+		readRange[i][0] = len(readRows)
+		for _, r := range l.readoutRows() {
+			readRows = append(readRows, len(sufTokens)+r)
+		}
+		readRange[i][1] = len(readRows)
 		sufRange[i][0] = off
 		for t := l.PrefixLen; t < l.Len(); t++ {
 			owner[off], local[off] = int32(i), int32(t)
@@ -166,18 +175,16 @@ func ExecuteBatchCancelable(w *model.Weights, items []BatchItem, cancels []func(
 	if ex := buildExactBatchMask(items, alive, bm, totalPrefix, totalSuffix); ex != nil {
 		mask = ex
 	}
-	hidden := w.Forward(sufTokens, sufPos, mask, combined)
+	hidden := w.ForwardRows(sufTokens, sufPos, mask, combined, readRows)
 	combined.Release() // reclaim arena pages; no-op for contiguous storage
 
-	// Split the packed hidden rows back into per-item views (zero copy).
-	row := 0
+	// Split the read rows back into per-item views (zero copy).
 	for _, i := range alive {
 		l := items[i].Layout
-		ns := l.Len() - l.PrefixLen
-		runs[i].Hidden = tensor.FromSlice(ns, hidden.Cols, hidden.Data[row*hidden.Cols:(row+ns)*hidden.Cols])
-		runs[i].ComputedTokens += ns
-		runs[i].Discriminant = runs[i].Hidden.Row(ns - 1)
-		row += ns
+		lo, hi := readRange[i][0], readRange[i][1]
+		runs[i].Hidden = tensor.FromSlice(hi-lo, hidden.Cols, hidden.Data[lo*hidden.Cols:hi*hidden.Cols])
+		runs[i].ComputedTokens += l.Len() - l.PrefixLen
+		runs[i].Discriminant = runs[i].Hidden.Row(hi - lo - 1)
 	}
 	return runs, errs
 }
@@ -298,11 +305,12 @@ func (p *missPlan) classifyPrefix(l *Layout, caches CacheSet, run *Run, item int
 }
 
 // compute runs one unit's forward — identical math to what the per-request
-// Execute prefix phase would have run for the same miss.
+// Execute prefix phase would have run for the same miss, and like it, K/V
+// only.
 func (u *missUnit) compute(w *model.Weights) *model.KVCache {
 	if u.user {
 		c := model.NewKVCache(w.Config())
-		w.Forward(u.tokens, u.pos, u.mask, c)
+		w.ForwardRows(u.tokens, u.pos, u.mask, c, nil)
 		return c
 	}
 	return ComputeItemCacheAt(w, u.tokens, u.posStart)
@@ -359,7 +367,7 @@ func (p *missPlan) computeAll(w *model.Weights) {
 	if exact {
 		mask = exactUnitsMask{um}
 	}
-	w.Forward(tokens, pos, mask, combined)
+	w.ForwardRows(tokens, pos, mask, combined, nil) // K/V only
 	for ui := range p.units {
 		p.units[ui].cache = combined.CopyRange(ranges[ui][0], ranges[ui][1])
 	}

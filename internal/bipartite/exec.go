@@ -24,13 +24,14 @@ func ComputeItemCacheAt(w *model.Weights, itemTokens []int, startPos int) *model
 
 // ComputeItemCacheInto is ComputeItemCacheAt with caller-provided storage —
 // pass an arena-backed cache (BlockArena.NewKVCache) to precompute item
-// prefixes into shared pages.
+// prefixes into shared pages. A prefix is wanted only for its K/V, so the
+// forward reads no output rows.
 func ComputeItemCacheInto(w *model.Weights, itemTokens []int, startPos int, cache *model.KVCache) *model.KVCache {
 	pos := make([]int, len(itemTokens))
 	for i := range pos {
 		pos[i] = startPos + i
 	}
-	w.Forward(itemTokens, pos, nil, cache)
+	w.ForwardRows(itemTokens, pos, nil, cache, nil)
 	return cache
 }
 
@@ -54,8 +55,9 @@ type CacheSet struct {
 // Run is the outcome of executing a layout.
 type Run struct {
 	Layout *Layout
-	// Hidden holds final hidden states for the computed (non-cached) tokens,
-	// i.e. layout tokens [Layout.Len()-ComputedTokens, Layout.Len()).
+	// Hidden holds the final hidden states a run reads out, in order: the
+	// last token's, or each candidate's discriminant for a multi-disc layout
+	// (Layout.DiscriminantIndices order). No other row is computed.
 	Hidden *tensor.Matrix
 	// Discriminant is the final hidden state of the discriminant token.
 	Discriminant []float32
@@ -102,6 +104,20 @@ func ExecuteCancelable(w *model.Weights, l *Layout, caches CacheSet, cancel func
 	}
 }
 
+// readoutRows returns the suffix-relative rows whose hidden states a run
+// reads: each candidate's discriminant for a multi-disc layout, else the
+// last token.
+func (l *Layout) readoutRows() []int {
+	rows := l.DiscriminantIndices()
+	if rows == nil {
+		return []int{l.Len() - l.PrefixLen - 1}
+	}
+	for i := range rows {
+		rows[i] -= l.PrefixLen
+	}
+	return rows
+}
+
 func checkCancel(cancel func() error) error {
 	if cancel == nil {
 		return nil
@@ -123,7 +139,7 @@ func executeUserPrefix(w *model.Weights, l *Layout, userCache *model.KVCache, ca
 	} else {
 		ctx = model.NewKVCache(w.Config())
 		if l.PrefixLen > 0 {
-			w.Forward(l.Tokens[:l.PrefixLen], l.Pos[:l.PrefixLen], l.Mask(), ctx)
+			w.ForwardRows(l.Tokens[:l.PrefixLen], l.Pos[:l.PrefixLen], l.Mask(), ctx, nil)
 			run.ComputedTokens += l.PrefixLen
 			run.NewUserCache = ctx.Clone()
 		}
@@ -132,7 +148,7 @@ func executeUserPrefix(w *model.Weights, l *Layout, userCache *model.KVCache, ca
 		ctx.Release()
 		return nil, err
 	}
-	run.Hidden = w.Forward(suffix, pos, l.Mask(), ctx)
+	run.Hidden = w.ForwardRows(suffix, pos, l.Mask(), ctx, l.readoutRows())
 	ctx.Release() // reclaim arena pages; no-op for contiguous storage
 	run.ComputedTokens += len(suffix)
 	run.Discriminant = run.Hidden.Row(run.Hidden.Rows - 1)
@@ -184,7 +200,7 @@ func executeItemPrefix(w *model.Weights, l *Layout, itemCaches map[int]*model.KV
 	suffix := l.Tokens[l.PrefixLen:]
 	pos := l.Pos[l.PrefixLen:]
 	ctx := model.ConcatCachesReserve(len(suffix), parts...)
-	run.Hidden = w.Forward(suffix, pos, l.Mask(), ctx)
+	run.Hidden = w.ForwardRows(suffix, pos, l.Mask(), ctx, l.readoutRows())
 	ctx.Release() // reclaim arena pages; no-op for contiguous storage
 	run.ComputedTokens += len(suffix)
 	run.Discriminant = run.Hidden.Row(run.Hidden.Rows - 1)

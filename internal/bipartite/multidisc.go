@@ -102,18 +102,19 @@ func ExecuteMultiDisc(w *model.Weights, l *Layout, caches CacheSet) (*Run, [][]f
 	if len(discs) == 0 {
 		return nil, nil, fmt.Errorf("bipartite: layout has no per-item discriminants")
 	}
+	for i, abs := range discs {
+		if abs < l.PrefixLen {
+			return nil, nil, fmt.Errorf("bipartite: discriminant %d inside the cached prefix", i)
+		}
+	}
 	run, err := Execute(w, l, caches)
 	if err != nil {
 		return nil, nil, err
 	}
-	// run.Hidden covers the computed suffix; map absolute indices into it.
-	suffixStart := l.Len() - run.Hidden.Rows
+	// run.Hidden holds exactly the discriminant rows, in candidate order.
 	out := make([][]float32, len(discs))
-	for i, abs := range discs {
-		if abs < suffixStart {
-			return nil, nil, fmt.Errorf("bipartite: discriminant %d inside the cached prefix", i)
-		}
-		out[i] = run.Hidden.Row(abs - suffixStart)
+	for i := range discs {
+		out[i] = run.Hidden.Row(i)
 	}
 	return run, out, nil
 }

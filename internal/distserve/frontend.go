@@ -150,10 +150,14 @@ type Frontend struct {
 	replicaStores map[string]*metrics.Counter
 
 	// loadMu guards the /v1/load residency summary cache (see load.go).
+	// loadGen counts user stores landed; the cached summary is valid only
+	// while loadSumGen, the count its fold started at, still equals it.
 	loadMu      sync.Mutex
 	loadSummary *routing.Summary
 	loadUsers   int
 	loadAt      time.Time
+	loadGen     uint64
+	loadSumGen  uint64
 
 	// repairMu guards the read-repair token window (repairs admitted in the
 	// current one-second window).
@@ -1281,8 +1285,13 @@ func (f *Frontend) tryDeltaStore(ctx context.Context, worker int, kind string, i
 	return true
 }
 
-// registerLocation binds (kind, id) → worker in the meta service.
+// registerLocation binds (kind, id) → worker in the meta service. Every
+// caller has just landed the entry on that worker, so a user entry also
+// invalidates the folded /v1/load residency summary.
 func (f *Frontend) registerLocation(ctx context.Context, kind string, id uint64, worker int) {
+	if kind == "user" {
+		f.residencyChanged()
+	}
 	body, err := json.Marshal(RegisterRequest{EntryRef: EntryRef{Kind: kind, ID: id}, Worker: worker})
 	if err != nil {
 		return

@@ -10,7 +10,10 @@ package distserve
 // hit/miss accounting), so a router polling /v1/load every few hundred
 // milliseconds cannot keep cold entries warm or perturb eviction order.
 // The folded summary is cached for LoadSummaryTTL so the poll stays O(1)
-// between refreshes.
+// between refreshes, and dropped as soon as a user store lands: a /v1/load
+// served after a user's store reports that user. (The router replaces its
+// optimistic additions with each polled summary, so a stale one would undo
+// the routing decisions that placed those users.)
 
 import (
 	"context"
@@ -53,17 +56,29 @@ func (f *Frontend) loadSummaryTTL() time.Duration {
 	return defaultLoadSummaryTTL
 }
 
+// residencyChanged invalidates the cached residency summary after a user
+// store lands.
+func (f *Frontend) residencyChanged() {
+	f.loadMu.Lock()
+	f.loadGen++
+	f.loadMu.Unlock()
+}
+
 // userResidency folds every live worker's resident user IDs into a bloom
-// summary, caching the result for the TTL. Workers that fail to answer are
-// skipped: a partial summary only costs affinity hints, never correctness.
+// summary, caching the result for the TTL or until a user store lands.
+// Workers that fail to answer are skipped: a partial summary only costs
+// affinity hints, never correctness.
 func (f *Frontend) userResidency() (*routing.Summary, int) {
 	now := time.Now()
 	f.loadMu.Lock()
-	if f.loadSummary != nil && now.Sub(f.loadAt) < f.loadSummaryTTL() {
+	if f.loadSummary != nil && f.loadSumGen == f.loadGen && now.Sub(f.loadAt) < f.loadSummaryTTL() {
 		s, n := f.loadSummary, f.loadUsers
 		f.loadMu.Unlock()
 		return s, n
 	}
+	// A store landing mid-fold may be missed by a worker already listed, so
+	// the fold is valid only for the stores counted before it starts.
+	gen := f.loadGen
 	f.loadMu.Unlock()
 
 	sum := routing.NewSummary(0)
@@ -88,7 +103,7 @@ func (f *Frontend) userResidency() (*routing.Summary, int) {
 	}
 
 	f.loadMu.Lock()
-	f.loadSummary, f.loadUsers, f.loadAt = sum, users, now
+	f.loadSummary, f.loadUsers, f.loadAt, f.loadSumGen = sum, users, now, gen
 	f.loadMu.Unlock()
 	return sum, users
 }

@@ -1,10 +1,14 @@
 package distserve
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
+	"time"
 
 	"bat/internal/routing"
 	"bat/internal/scheduler"
@@ -132,6 +136,85 @@ func TestLoadSnapshotReportsResidencyWithoutTouchingLRU(t *testing.T) {
 		if after.Hits != before[i].Hits || after.Misses != before[i].Misses {
 			t.Fatalf("worker %d counters moved under /v1/load: hits %d->%d misses %d->%d",
 				i, before[i].Hits, after.Hits, before[i].Misses, after.Misses)
+		}
+	}
+}
+
+// TestLoadSummaryReportsStoresWithinTTL pins the residency contract the
+// router's affinity rests on: a /v1/load served after a user's store landed
+// reports that user, even inside LoadSummaryTTL. The router replaces its
+// optimistic per-request additions with each polled summary, so a summary
+// folded before a fast warm-up (the router's start-up poll folds an empty
+// one) would erase every placement the warm-up made; users would then spray
+// across cells and be cached in both.
+func TestLoadSummaryReportsStoresWithinTTL(t *testing.T) {
+	cells := []*deployment{
+		newDeployment(t, 2, scheduler.StaticUser{}),
+		newDeployment(t, 2, scheduler.StaticUser{}),
+	}
+	r, err := routing.NewRouter(routing.RouterConfig{
+		Frontends:    []string{cells[0].front.URL, cells[1].front.URL},
+		PollInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	router := httptest.NewServer(r.Handler())
+	defer router.Close()
+
+	const users = 12
+	rankAll := func() {
+		for u := 0; u < users; u++ {
+			body, _ := json.Marshal(RankRequest{UserID: u, CandidateIDs: []int{1, 2, 3, 4}})
+			resp, err := http.Post(router.URL+"/v1/rank", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			routing.DrainBody(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("user %d: rank status %d", u, resp.StatusCode)
+			}
+		}
+	}
+	settle := func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		for _, c := range cells {
+			if err := c.frontend.FlushStores(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.PollNow()
+	}
+
+	// The whole warm-up runs well inside the default one-second TTL.
+	rankAll()
+	settle()
+	before := r.Stats().Decisions
+	rankAll()
+	settle()
+	after := r.Stats().Decisions
+	total, affinity := int64(0), after["cache-affinity"]-before["cache-affinity"]
+	for name, n := range after {
+		total += n - before[name]
+	}
+	if total != users || affinity != users {
+		t.Fatalf("second pass: %d of %d decisions were affinity routes, want all %d (decisions %v)", affinity, total, users, after)
+	}
+	for u := 0; u < users; u++ {
+		in := 0
+		for _, c := range cells {
+			for _, w := range c.workers {
+				if _, ok := w.Peek("user/" + strconv.Itoa(u)); ok {
+					in++
+					break
+				}
+			}
+		}
+		if in != 1 {
+			t.Fatalf("user %d resident in %d cells, want exactly 1", u, in)
 		}
 	}
 }

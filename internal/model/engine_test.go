@@ -258,12 +258,12 @@ func BenchmarkAttendServed(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			cache := NewKVCache(cfg)
 			w.Forward(randTokens(rng, base+n, cfg.Vocab), seqPos(base+n), nil, cache)
-			s := newScratch(cfg, n)
+			s := newScratch(cfg, n, n)
 			for i := range s.q.Data {
 				s.q.Data[i] = float32(rng.NormFloat64())
 			}
 			var vis visibility
-			vis.lower(CausalMask{}, base, n)
+			vis.lower(CausalMask{}, base, n, nil)
 			macs := 0
 			for i := 0; i < n; i++ {
 				macs += 2 * (base + i + 1) * cfg.HeadDim * cfg.Heads

@@ -25,7 +25,24 @@ import (
 // prefix length afterwards, or pass a throwaway clone.
 //
 // The returned matrix holds the final-RMSNorm hidden state of each new token
-// (len(tokens) x Hidden), ready for Logits/LogitsFor.
+// (len(tokens) x Hidden), ready for Logits/LogitsFor. It is ForwardRows with
+// every row.
+func (w *Weights) Forward(tokens, pos []int, mask Mask, cache *KVCache) *tensor.Matrix {
+	rows := make([]int, len(tokens))
+	for i := range rows {
+		rows[i] = i
+	}
+	return w.ForwardRows(tokens, pos, mask, cache, rows)
+}
+
+// ForwardRows is Forward for a caller that reads only some output rows:
+// it returns the final hidden states of new tokens rows[0], rows[1], ...
+// (len(rows) x Hidden). Layers 0..L-2 run over every token, and in the last
+// layer every token still gets its RMSNorm, K/V, RoPE and cache append — so
+// the cache is byte-identical to Forward's — but attention, the output
+// projection, the FFN and the final norm run only for rows. Empty rows
+// computes K/V only, which is all a prefix recompute wants. Each kept row
+// does exactly Forward's scalar operations, so its bits equal Forward's.
 //
 // This is the batched engine: all n tokens move through each layer together,
 // so the six per-token vector-matrix products become one matrix-matrix GEMM
@@ -34,7 +51,7 @@ import (
 // keeps the exact scalar summation order of the token-at-a-time path, so
 // hidden states are bit-identical to ForwardReference at any batch split
 // and any pool width.
-func (w *Weights) Forward(tokens, pos []int, mask Mask, cache *KVCache) *tensor.Matrix {
+func (w *Weights) ForwardRows(tokens, pos []int, mask Mask, cache *KVCache, rows []int) *tensor.Matrix {
 	cfg := w.cfg
 	if len(tokens) != len(pos) {
 		panic(fmt.Sprintf("model: %d tokens but %d positions", len(tokens), len(pos)))
@@ -49,6 +66,14 @@ func (w *Weights) Forward(tokens, pos []int, mask Mask, cache *KVCache) *tensor.
 		mask = CausalMask{}
 	}
 	n := len(tokens)
+	for _, r := range rows {
+		if r < 0 || r >= n {
+			panic(fmt.Sprintf("model: output row %d outside %d new tokens", r, n))
+		}
+	}
+	// pruned is false when rows is every row in order (Forward): the last
+	// layer then runs like the others, with no gather.
+	pruned := !everyRow(rows, n)
 	base := cache.Len()
 	if fs, ok := cache.store.(*flatStore); ok {
 		fs.reserve(n) // keep per-token appends allocation-free
@@ -70,67 +95,124 @@ func (w *Weights) Forward(tokens, pos []int, mask Mask, cache *KVCache) *tensor.
 		}
 	}
 
-	s := newScratch(cfg, n)
+	last := cfg.Layers - 1
+	queries := n // the most query rows any layer carries
+	if pruned && last == 0 {
+		queries = len(rows)
+	}
+	s := newScratch(cfg, n, queries)
 	vis := visPool.Get().(*visibility)
 	defer visPool.Put(vis)
-	vis.lower(mask, base, n)
-	for l := 0; l < cfg.Layers; l++ {
+	if !pruned || last > 0 {
+		vis.lower(mask, base, n, nil)
+	}
+	for l := 0; l <= last; l++ {
 		lw := &w.layers[l]
 
-		// --- attention sublayer ---
+		// --- attention sublayer: every token's K/V enters the cache ---
 		rmsNormRows(s.normed, h, lw.attnNorm, cfg.eps())
-		tensor.MatMul(s.q, s.normed, lw.wq)
 		tensor.MatMul(s.k, s.normed, lw.wk)
 		tensor.MatMul(s.v, s.normed, lw.wv)
-		w.ropeRows(s.q, s.k, pos)
+		w.ropeRows(s.k, cfg.KVHeads, pos)
 		for i := 0; i < n; i++ {
 			cache.appendToken(l, s.k.Row(i), s.v.Row(i))
 		}
-		w.attend(s, cache, l, base, n, vis)
-		tensor.MatMul(s.proj, s.attnOut, lw.wo)
-		addRows(h, s.proj)
+		// ...and only the rows read after the last layer go further in it.
+		qs, qIn, qPos := s, s.normed, pos
+		if l == last && pruned {
+			if len(rows) == 0 {
+				return tensor.NewMatrix(0, cfg.Hidden)
+			}
+			qs = s.head(len(rows))
+			// proj is free until the output projection: it holds the
+			// gathered query inputs.
+			qIn = gatherRows(qs.proj, s.normed, rows)
+			h = gatherRows(tensor.NewMatrix(len(rows), cfg.Hidden), h, rows)
+			qPos = make([]int, len(rows))
+			for j, r := range rows {
+				qPos[j] = pos[r]
+			}
+			vis.lower(mask, base, n, rows)
+		}
+		tensor.MatMul(qs.q, qIn, lw.wq)
+		w.ropeRows(qs.q, cfg.Heads, qPos)
+		w.attend(qs, cache, l, base, n, vis)
+		tensor.MatMul(qs.proj, qs.attnOut, lw.wo)
+		addRows(h, qs.proj)
 
 		// --- feed-forward sublayer (SwiGLU) ---
-		rmsNormRows(s.normed, h, lw.ffnNorm, cfg.eps())
-		tensor.MatMul(s.gate, s.normed, lw.wGate)
-		tensor.MatMul(s.up, s.normed, lw.wUp)
-		swiGLURows(s.gate, s.up)
-		tensor.MatMul(s.proj, s.gate, lw.wDown)
-		addRows(h, s.proj)
+		rmsNormRows(qs.normed, h, lw.ffnNorm, cfg.eps())
+		tensor.MatMul(qs.gate, qs.normed, lw.wGate)
+		tensor.MatMul(qs.up, qs.normed, lw.wUp)
+		swiGLURows(qs.gate, qs.up)
+		tensor.MatMul(qs.proj, qs.gate, lw.wDown)
+		addRows(h, qs.proj)
 	}
 
-	for i := 0; i < n; i++ {
+	for i := 0; i < h.Rows; i++ {
 		row := h.Row(i)
 		tensor.RMSNorm(row, row, w.finalNorm, cfg.eps())
 	}
 	return h
 }
 
-// scratch holds the per-call activation buffers, allocated once and reused
-// across every layer — the batched replacement for the seed engine's
-// per-token k/v allocations.
-type scratch struct {
-	normed  *tensor.Matrix // n x Hidden
-	q       *tensor.Matrix // n x Heads*HeadDim
-	k, v    *tensor.Matrix // n x KVHeads*HeadDim
-	attnOut *tensor.Matrix // n x Heads*HeadDim
-	proj    *tensor.Matrix // n x Hidden
-	gate    *tensor.Matrix // n x FFNDim
-	up      *tensor.Matrix // n x FFNDim
+// everyRow reports whether rows is 0, 1, ..., n-1.
+func everyRow(rows []int, n int) bool {
+	if len(rows) != n {
+		return false
+	}
+	for i, r := range rows {
+		if r != i {
+			return false
+		}
+	}
+	return true
 }
 
-func newScratch(cfg Config, n int) *scratch {
+// gatherRows copies src's rows sel[0], sel[1], ... into dst's rows 0, 1, ...
+// and returns dst.
+func gatherRows(dst, src *tensor.Matrix, sel []int) *tensor.Matrix {
+	for j, r := range sel {
+		copy(dst.Row(j), src.Row(r))
+	}
+	return dst
+}
+
+// scratch holds the per-call activation buffers, allocated once and reused
+// across every layer — the batched replacement for the seed engine's
+// per-token k/v allocations. The K/V side has a row per new token; the query
+// side (q through the FFN) a row per query the widest layer carries.
+type scratch struct {
+	normed  *tensor.Matrix // n x Hidden
+	k, v    *tensor.Matrix // n x KVHeads*HeadDim
+	q       *tensor.Matrix // queries x Heads*HeadDim
+	attnOut *tensor.Matrix // queries x Heads*HeadDim
+	proj    *tensor.Matrix // queries x Hidden
+	gate    *tensor.Matrix // queries x FFNDim
+	up      *tensor.Matrix // queries x FFNDim
+}
+
+func newScratch(cfg Config, n, queries int) *scratch {
 	qDim := cfg.Heads * cfg.HeadDim
 	kvDim := cfg.KVHeads * cfg.HeadDim
 	return &scratch{
 		normed:  tensor.NewMatrix(n, cfg.Hidden),
-		q:       tensor.NewMatrix(n, qDim),
 		k:       tensor.NewMatrix(n, kvDim),
 		v:       tensor.NewMatrix(n, kvDim),
-		attnOut: tensor.NewMatrix(n, qDim),
-		proj:    tensor.NewMatrix(n, cfg.Hidden),
-		gate:    tensor.NewMatrix(n, cfg.FFNDim),
-		up:      tensor.NewMatrix(n, cfg.FFNDim),
+		q:       tensor.NewMatrix(queries, qDim),
+		attnOut: tensor.NewMatrix(queries, qDim),
+		proj:    tensor.NewMatrix(queries, cfg.Hidden),
+		gate:    tensor.NewMatrix(queries, cfg.FFNDim),
+		up:      tensor.NewMatrix(queries, cfg.FFNDim),
+	}
+}
+
+// head returns views of the query-side buffers' (and normed's) first m rows.
+func (s *scratch) head(m int) *scratch {
+	top := func(x *tensor.Matrix) *tensor.Matrix { return tensor.FromSlice(m, x.Cols, x.Data[:m*x.Cols]) }
+	return &scratch{
+		normed: top(s.normed), k: s.k, v: s.v,
+		q: top(s.q), attnOut: top(s.attnOut), proj: top(s.proj), gate: top(s.gate), up: top(s.up),
 	}
 }
 
@@ -165,22 +247,19 @@ func swiGLURows(gate, up *tensor.Matrix) {
 	}
 }
 
-// ropeRows rotates every row of q (per query head) and k (per KV head) for
-// its token's position. sin/cos come from the weights' precomputed
+// ropeRows rotates every row of m, per head of HeadDim columns, for its
+// token's position pos[i]. sin/cos come from the weights' precomputed
 // frequency table; rows are independent, so the pass fans out on the pool
 // when the sincos work is worth it.
-func (w *Weights) ropeRows(q, k *tensor.Matrix, pos []int) {
-	cfg := w.cfg
+func (w *Weights) ropeRows(m *tensor.Matrix, heads int, pos []int) {
+	hd := w.cfg.HeadDim
 	rotate := func(i int) {
-		for hh := 0; hh < cfg.Heads; hh++ {
-			w.rope.Rotate(q.Row(i)[hh*cfg.HeadDim:(hh+1)*cfg.HeadDim], pos[i])
-		}
-		for hh := 0; hh < cfg.KVHeads; hh++ {
-			w.rope.Rotate(k.Row(i)[hh*cfg.HeadDim:(hh+1)*cfg.HeadDim], pos[i])
+		for hh := 0; hh < heads; hh++ {
+			w.rope.Rotate(m.Row(i)[hh*hd:(hh+1)*hd], pos[i])
 		}
 	}
 	n := len(pos)
-	if n*(cfg.Heads+cfg.KVHeads)*cfg.HeadDim < 1<<14 {
+	if n*heads*hd < 1<<14 {
 		for i := 0; i < n; i++ {
 			rotate(i)
 		}
@@ -212,27 +291,35 @@ func getScores(n int) *scoreBuf {
 	return sb
 }
 
-// attend computes masked grouped-query attention for layer l over the n new
-// tokens, whose K/V (and the whole prefix) are already in the cache, and
-// writes mixed values into s.attnOut. Work is split across
-// (head x query-block) tasks. A query scores, weights and mixes only its
-// visible key ranges, and within a range the tensor kernels walk the store's
-// contiguous row runs several keys per pass; every score still sums its
-// products in ascending dimension order and every output element its weighted
-// values in ascending key order, so the result is bit-identical to the
-// reference engine's one-key-at-a-time loops at any pool width.
+// attend computes masked grouped-query attention for layer l and writes
+// mixed values into s.attnOut. Its queries are the rows of s.q, whose visible
+// key ranges vis holds in the same order; the n new tokens' K/V (and the
+// whole prefix, from absolute index base) are already in the cache. Work is
+// split across (head x query-block) tasks. A query scores, weights and mixes
+// only its visible key ranges, and within a range the tensor kernels walk the
+// store's contiguous row runs several keys per pass; every score still sums
+// its products in ascending dimension order and every output element its
+// weighted values in ascending key order, so the result is bit-identical to
+// the reference engine's one-key-at-a-time loops at any pool width.
 func (w *Weights) attend(s *scratch, cache *KVCache, l, base, n int, vis *visibility) {
 	cfg := w.cfg
 	hd, stride := cfg.HeadDim, cache.stride()
 	groups := cfg.Heads / cfg.KVHeads
 	scale := float32(1 / math.Sqrt(float64(hd)))
-	qBlocks := (n + attnQueryBlock - 1) / attnQueryBlock
+	queries := s.q.Rows
+	qBlocks := (queries + attnQueryBlock - 1) / attnQueryBlock
 	run := func(task int) {
 		hh := task / qBlocks
 		lo := (task % qBlocks) * attnQueryBlock
-		hi := min(lo+attnQueryBlock, n)
+		hi := min(lo+attnQueryBlock, queries)
 		kvOff := hh / groups * hd // the kv head's columns within a row
-		sb := getScores(base + hi)
+		keys := 0                 // one past the block's highest visible key
+		for i := lo; i < hi; i++ {
+			if r := vis.of(i); len(r) > 0 {
+				keys = max(keys, r[len(r)-1][1])
+			}
+		}
+		sb := getScores(keys)
 		defer scorePool.Put(sb)
 		sc := sb.s
 		for i := lo; i < hi; i++ {
@@ -262,8 +349,8 @@ func (w *Weights) attend(s *scratch, cache *KVCache, l, base, n int, vis *visibi
 		}
 	}
 	tasks := cfg.Heads * qBlocks
-	// Average context length per query is base + (n+1)/2.
-	if tasks == 1 || cfg.Heads*n*(base+(n+1)/2)*hd < 1<<15 {
+	// Average context length per query is about base + (n+1)/2.
+	if tasks == 1 || cfg.Heads*queries*(base+(n+1)/2)*hd < 1<<15 {
 		for task := 0; task < tasks; task++ {
 			run(task)
 		}

@@ -77,15 +77,23 @@ var visPool = sync.Pool{New: func() any { return &visibility{} }}
 
 func (v *visibility) of(i int) [][2]int { return v.flat[v.off[i]:v.off[i+1]] }
 
-// lower fills v for queries at absolute indices [base, base+n). An
+// lower fills v for the queries at absolute indices base+rows[0],
+// base+rows[1], ... (nil rows: every one of the n new tokens, in order). An
 // ExactKeyRanger's ranges are only clamped; any other mask is run-length
 // encoded by asking Allowed about every key of its KeyRanges (or of the whole
 // causal context) once — a query always sees itself.
-func (v *visibility) lower(mask Mask, base, n int) {
+func (v *visibility) lower(mask Mask, base, n int, rows []int) {
 	v.off, v.flat = append(v.off[:0], 0), v.flat[:0]
 	ekr, exact := mask.(ExactKeyRanger)
 	kr, _ := mask.(KeyRanger)
-	for q := base; q < base+n; q++ {
+	if rows != nil {
+		n = len(rows)
+	}
+	for j := 0; j < n; j++ {
+		q := base + j
+		if rows != nil {
+			q = base + rows[j]
+		}
 		start := len(v.flat)
 		switch {
 		case exact:
