@@ -38,7 +38,7 @@ type CacheWorker struct {
 	lru      *list.List // front = most recent
 	onEvict  func(key string)
 
-	// draining refuses new stores (PUT/PATCH/bulk → 503) while reads keep
+	// draining refuses new stores (PUT/bulk → 503) while reads keep
 	// working, so a drain never chases a moving target.
 	draining bool
 
@@ -52,7 +52,6 @@ type CacheWorker struct {
 	classStats  map[string]*cwClassStats
 
 	hits, misses, puts, evictions int64
-	appends, appendRejects        int64
 	drains, bulkStored            int64
 }
 
@@ -91,9 +90,8 @@ func (w *CacheWorker) statsFor(class string) *cwClassStats {
 }
 
 // evictOneLocked removes one victim under the partition policy and returns
-// its key. exclude is never chosen (the entry being appended to). Caller
-// holds mu.
-func (w *CacheWorker) evictOneLocked(exclude *cwEntry) (string, bool) {
+// its key. Caller holds mu.
+func (w *CacheWorker) evictOneLocked() (string, bool) {
 	var victim *cwEntry
 	if len(w.classBudget) > 0 {
 		// Prefer the oldest entry of the most over-budget class.
@@ -107,7 +105,7 @@ func (w *CacheWorker) evictOneLocked(exclude *cwEntry) (string, bool) {
 		if worstClass != "" {
 			for el := w.lru.Back(); el != nil; el = el.Prev() {
 				e := el.Value.(*cwEntry)
-				if e != exclude && e.class == worstClass {
+				if e.class == worstClass {
 					victim = e
 					break
 				}
@@ -115,15 +113,11 @@ func (w *CacheWorker) evictOneLocked(exclude *cwEntry) (string, bool) {
 		}
 	}
 	if victim == nil {
-		for el := w.lru.Back(); el != nil; el = el.Prev() {
-			if e := el.Value.(*cwEntry); e != exclude {
-				victim = e
-				break
-			}
+		el := w.lru.Back()
+		if el == nil {
+			return "", false
 		}
-	}
-	if victim == nil {
-		return "", false
+		victim = el.Value.(*cwEntry)
 	}
 	w.lru.Remove(victim.elem)
 	delete(w.entries, victim.key)
@@ -156,83 +150,6 @@ func (w *CacheWorker) ClassUsage(class string) (used, budget int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.classUsed[class], w.classBudget[class]
-}
-
-// Typed Append failures, mapped to HTTP statuses by the handler. A reject is
-// never an error for the client's data — it just means the delta protocol's
-// precondition failed and the caller should re-send the whole payload.
-var (
-	// errAppendMissing: the worker no longer holds the key (evicted or never
-	// stored) — there is nothing to append to.
-	errAppendMissing = errors.New("distserve: append target missing")
-	// errAppendConflict: the stored payload is not the prefix the client
-	// thinks it is (token count or checksum mismatch).
-	errAppendConflict = errors.New("distserve: append prefix mismatch")
-	// errAppendBadDelta: the delta payload itself is malformed (bad header,
-	// wrong architecture, truncated frames).
-	errAppendBadDelta = errors.New("distserve: malformed append delta")
-)
-
-// Append splices a suffix-token delta payload onto a stored entry, guarded by
-// the prefix token count and checksum the client believes the worker holds.
-// The merge happens at the wire level (model.AppendEncoded), so the result is
-// byte-identical to a full PUT of the grown cache. Eviction makes room as a
-// PUT of the merged size would, but never evicts the entry being appended to.
-func (w *CacheWorker) Append(key string, from int, checksum uint64, delta []byte) error {
-	dh, err := model.ParseWireHeader(delta)
-	if err != nil || len(delta) != dh.PayloadSize() {
-		w.mu.Lock()
-		w.appendRejects++
-		w.mu.Unlock()
-		return errAppendBadDelta
-	}
-	w.mu.Lock()
-	e, ok := w.entries[key]
-	if !ok {
-		w.misses++
-		w.appendRejects++
-		w.mu.Unlock()
-		return errAppendMissing
-	}
-	sh, err := model.ParseWireHeader(e.data)
-	if err != nil || sh.Tokens != from || model.ChecksumEncoded(e.data) != checksum {
-		w.appendRejects++
-		w.mu.Unlock()
-		return errAppendConflict
-	}
-	merged, err := model.AppendEncoded(e.data, delta)
-	if err != nil {
-		w.appendRejects++
-		w.mu.Unlock()
-		return fmt.Errorf("%w: %v", errAppendBadDelta, err)
-	}
-	if int64(len(merged)) > w.capacity {
-		w.appendRejects++
-		w.mu.Unlock()
-		return fmt.Errorf("distserve: merged payload %d bytes exceeds capacity %d", len(merged), w.capacity)
-	}
-	grow := int64(len(merged) - len(e.data))
-	var victims []string
-	for w.used+grow > w.capacity {
-		k, ok := w.evictOneLocked(e)
-		if !ok {
-			break
-		}
-		victims = append(victims, k)
-	}
-	e.data = merged
-	w.used += grow
-	w.bumpClass(e.class, grow)
-	w.lru.MoveToFront(e.elem)
-	w.appends++
-	hook := w.onEvict
-	w.mu.Unlock()
-	if hook != nil {
-		for _, k := range victims {
-			hook(k)
-		}
-	}
-	return nil
 }
 
 type cwEntry struct {
@@ -282,7 +199,7 @@ func (w *CacheWorker) Put(key string, data []byte) error {
 	}
 	var victims []string
 	for w.used+int64(len(data)) > w.capacity {
-		k, ok := w.evictOneLocked(nil)
+		k, ok := w.evictOneLocked()
 		if !ok {
 			break
 		}
@@ -411,9 +328,9 @@ type WorkerStats struct {
 	Misses    int64 `json:"misses"`
 	Puts      int64 `json:"puts"`
 	Evictions int64 `json:"evictions"`
-	// Appends counts successful delta splices; AppendRejects counts PATCHes
-	// refused (missing key, prefix mismatch, malformed delta, over capacity) —
-	// each reject costs the client one full-PUT fallback.
+	// Appends and AppendRejects are always 0: the worker accepts no
+	// suffix-only appends. They stay because the benchmark's per-layer
+	// metrics still read them.
 	Appends       int64 `json:"appends"`
 	AppendRejects int64 `json:"append_rejects"`
 	// Draining mirrors the worker's drain state; Drains counts completed
@@ -444,7 +361,6 @@ func (w *CacheWorker) Stats() WorkerStats {
 	st := WorkerStats{
 		Entries: len(w.entries), UsedBytes: w.used, Capacity: w.capacity,
 		Hits: w.hits, Misses: w.misses, Puts: w.puts, Evictions: w.evictions,
-		Appends: w.appends, AppendRejects: w.appendRejects,
 		Draining: w.draining, Drains: w.drains, BulkStored: w.bulkStored,
 	}
 	if len(w.classStats) > 0 || len(w.classUsed) > 0 {
@@ -474,8 +390,6 @@ func (w *CacheWorker) readPayload(r *http.Request) ([]byte, error) {
 // Handler exposes the worker:
 //
 //	PUT    /kv/{key}                 store payload (request body)
-//	PATCH  /kv/{key}?from={tokens}   append suffix-token delta (X-KV-Checksum
-//	                                 guards the stored prefix; 409 = re-PUT)
 //	GET    /kv/{key}                 fetch payload (404 on miss)
 //	HEAD   /kv/{key}                 token count + checksum probe (no LRU touch)
 //	DELETE /kv/{key}
@@ -513,38 +427,6 @@ func (w *CacheWorker) Handler() http.Handler {
 				return
 			}
 			rw.WriteHeader(http.StatusNoContent)
-		case http.MethodPatch:
-			if w.Draining() {
-				http.Error(rw, "draining", http.StatusServiceUnavailable)
-				return
-			}
-			from, err := strconv.Atoi(r.URL.Query().Get("from"))
-			if err != nil || from <= 0 {
-				http.Error(rw, "bad or missing from= token count", http.StatusBadRequest)
-				return
-			}
-			checksum, err := strconv.ParseUint(r.Header.Get("X-KV-Checksum"), 16, 64)
-			if err != nil {
-				http.Error(rw, "bad or missing X-KV-Checksum header", http.StatusBadRequest)
-				return
-			}
-			delta, err := w.readPayload(r)
-			if err != nil {
-				http.Error(rw, err.Error(), http.StatusBadRequest)
-				return
-			}
-			switch err := w.Append(key, from, checksum, delta); {
-			case err == nil:
-				rw.WriteHeader(http.StatusNoContent)
-			case errors.Is(err, errAppendMissing):
-				http.Error(rw, err.Error(), http.StatusNotFound)
-			case errors.Is(err, errAppendConflict):
-				http.Error(rw, err.Error(), http.StatusConflict)
-			case errors.Is(err, errAppendBadDelta):
-				http.Error(rw, err.Error(), http.StatusBadRequest)
-			default:
-				http.Error(rw, err.Error(), http.StatusInsufficientStorage)
-			}
 		case http.MethodGet:
 			data, ok := w.Get(key)
 			if !ok {

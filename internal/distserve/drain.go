@@ -455,8 +455,6 @@ func (f *Frontend) DrainWorker(ctx context.Context, worker int) (*DrainResponse,
 		return nil, err
 	}
 	routing.DrainBody(resp.Body)
-	// The worker's content moved elsewhere; its delta prefixes went with it.
-	f.forgetWorkerPrefixes(worker)
 	f.drainsCtr.Inc()
 	return &out, nil
 }
@@ -483,18 +481,6 @@ func (f *Frontend) UndrainWorker(ctx context.Context, worker int) error {
 	}
 	f.SetWorkerDraining(worker, false)
 	return nil
-}
-
-// forgetWorkerPrefixes drops one worker's delta-prefix records; the next
-// store of each affected key ships a full PUT.
-func (f *Frontend) forgetWorkerPrefixes(worker int) {
-	f.storedMu.Lock()
-	for k, p := range f.stored {
-		if p.worker == worker {
-			delete(f.stored, k)
-		}
-	}
-	f.storedMu.Unlock()
 }
 
 // drainAdminRequest is the frontend operator endpoints' body.

@@ -131,11 +131,8 @@ type Frontend struct {
 	// bat_fetch_total{outcome=...} in the core's metric registry.
 	fetchCtr map[string]*metrics.Counter
 	// bytesCtr counts transfer payload bytes under
-	// bat_transfer_bytes_total{dir,kind,mode}: rx = streaming fetches,
-	// tx = stores; mode "delta" marks suffix-only PATCH appends.
+	// bat_transfer_bytes_total{dir,kind}: rx = streaming fetches, tx = stores.
 	bytesCtr       map[string]*metrics.Counter
-	deltaStores    *metrics.Counter
-	deltaFallbacks *metrics.Counter
 	storeDrops     *metrics.Counter
 	storeCoalesced *metrics.Counter
 	streamFetches  *metrics.Counter
@@ -164,12 +161,6 @@ type Frontend struct {
 	repairMu     sync.Mutex
 	repairWindow time.Time
 	repairCount  int
-
-	// stored remembers, per cache key, which worker last accepted the entry
-	// and at how many tokens — the prefix knowledge that lets the next store
-	// of the same key ship only the suffix as a PATCH delta.
-	storedMu sync.Mutex
-	stored   map[string]storedPrefix
 
 	// Write-behind store queue: Commit enqueues fresh caches here and the
 	// storeLoop workers upload them off the batch-serial critical path. The
@@ -208,13 +199,6 @@ type Frontend struct {
 	guard     *PoolGuard
 }
 
-// storedPrefix is the frontend's record of a worker-resident entry: the delta
-// store path may PATCH-append to it instead of re-uploading the whole cache.
-type storedPrefix struct {
-	worker int
-	tokens int
-}
-
 // storeJob is one queued write-behind store.
 type storeJob struct {
 	worker int
@@ -222,10 +206,6 @@ type storeJob struct {
 	id     uint64
 	c      *model.KVCache
 }
-
-// maxStoredPrefixes bounds the delta-tracking map; when full it resets (the
-// only cost is full PUTs until it repopulates).
-const maxStoredPrefixes = 8192
 
 // Replication-layer defaults.
 const (
@@ -331,17 +311,13 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	for _, o := range fetchOutcomes {
 		f.fetchCtr[o] = reg.Counter(`bat_fetch_total{outcome="` + o + `"}`)
 	}
-	f.bytesCtr = make(map[string]*metrics.Counter, 8)
+	f.bytesCtr = make(map[string]*metrics.Counter, 4)
 	for _, dir := range []string{"rx", "tx"} {
 		for _, kind := range []string{"user", "item"} {
-			for _, mode := range []string{"full", "delta"} {
-				f.bytesCtr[dir+"/"+kind+"/"+mode] = reg.Counter(
-					`bat_transfer_bytes_total{dir="` + dir + `",kind="` + kind + `",mode="` + mode + `"}`)
-			}
+			f.bytesCtr[dir+"/"+kind] = reg.Counter(
+				`bat_transfer_bytes_total{dir="` + dir + `",kind="` + kind + `"}`)
 		}
 	}
-	f.deltaStores = reg.Counter("bat_delta_stores_total")
-	f.deltaFallbacks = reg.Counter("bat_delta_fallbacks_total")
 	f.storeDrops = reg.Counter("bat_store_drops_total")
 	f.storeCoalesced = reg.Counter("bat_store_coalesced_total")
 	f.streamFetches = reg.Counter("bat_stream_fetches_total")
@@ -356,7 +332,6 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	for _, role := range []string{"primary", "secondary"} {
 		f.replicaStores[role] = reg.Counter(`bat_replica_stores_total{role="` + role + `"}`)
 	}
-	f.stored = make(map[string]storedPrefix)
 	f.storeCtx, f.storeCancel = context.WithCancel(context.Background())
 	if cfg.Transfer.StoreQueueDepth > 0 {
 		f.storePending = make(map[string]*storeJob)
@@ -525,10 +500,7 @@ func (f *Frontend) replicaWorkers(h uint64, rf int) []int {
 
 // SetWorkerAlive marks a cache worker live or dead for write routing. The
 // poolguard flips it on death and rejoin; reads are unaffected (locations
-// come from the meta service, which the poolguard purges separately). A death
-// also forgets the worker's delta prefixes — its content is presumed gone, so
-// the next store of each key ships a full PUT (the checksum guard would catch
-// a stale prefix anyway; this just skips the doomed PATCH round trip).
+// come from the meta service, which the poolguard purges separately).
 func (f *Frontend) SetWorkerAlive(worker int, alive bool) {
 	if worker < 0 || worker >= len(f.cfg.CacheWorkers) {
 		return
@@ -536,9 +508,6 @@ func (f *Frontend) SetWorkerAlive(worker int, alive bool) {
 	f.mu.Lock()
 	f.alive[worker] = alive
 	f.mu.Unlock()
-	if !alive {
-		f.forgetWorkerPrefixes(worker)
-	}
 }
 
 // Rank serves one request end to end through the serving core and the
@@ -1180,55 +1149,32 @@ func (f *Frontend) fetchCache(ctx context.Context, worker int, kind string, id u
 		return nil
 	}
 	routing.DrainBody(body)
-	f.countBytes("rx", kind, "full", n)
+	f.countBytes("rx", kind, n)
 	f.streamFetches.Inc()
 	f.observeFetch(ctx, worker, kind, "hit", tries, start)
 	return c
 }
 
-// countBytes folds one payload into bat_transfer_bytes_total{dir,kind,mode}.
-func (f *Frontend) countBytes(dir, kind, mode string, n int64) {
-	if c, ok := f.bytesCtr[dir+"/"+kind+"/"+mode]; ok {
+// countBytes folds one payload into bat_transfer_bytes_total{dir,kind}.
+func (f *Frontend) countBytes(dir, kind string, n int64) {
+	if c, ok := f.bytesCtr[dir+"/"+kind]; ok {
 		c.Add(n)
 	}
 }
 
-func (f *Frontend) rememberStored(key string, worker, tokens int) {
-	f.storedMu.Lock()
-	if len(f.stored) >= maxStoredPrefixes {
-		f.stored = make(map[string]storedPrefix)
-	}
-	f.stored[key] = storedPrefix{worker: worker, tokens: tokens}
-	f.storedMu.Unlock()
-}
+// kvChecksumHeader carries an entry's FNV-1a/64 payload checksum (hex) and
+// kvTokensHeader its token count on HEAD probe responses; the scrubber
+// compares them across replicas.
+const (
+	kvChecksumHeader = "X-KV-Checksum"
+	kvTokensHeader   = "X-KV-Tokens"
+)
 
-func (f *Frontend) forgetStored(key string) {
-	f.storedMu.Lock()
-	delete(f.stored, key)
-	f.storedMu.Unlock()
-}
-
-// kvChecksumHeader carries the FNV-1a/64 checksum (hex) of the stored prefix
-// a delta PATCH expects the worker to still hold.
-const kvChecksumHeader = "X-KV-Checksum"
-
-// kvTokensHeader carries an entry's token count on HEAD probe responses.
-const kvTokensHeader = "X-KV-Tokens"
-
-// storeCache synchronously writes a payload — as a suffix-only delta append
-// when this worker already holds a verified prefix of the entry, else a full
-// PUT — and registers its location; failures are silent (the cache is an
-// optimization). The write-behind queue and the poolguard's repair path both
-// land here.
+// storeCache synchronously PUTs a whole payload and registers its location;
+// failures are silent (the cache is an optimization). The write-behind queue
+// and the poolguard's repair path both land here.
 func (f *Frontend) storeCache(ctx context.Context, worker int, kind string, id uint64, c *model.KVCache) {
 	if worker < 0 || worker >= len(f.cfg.CacheWorkers) {
-		return
-	}
-	// Delta prefixes are tracked per (worker, key): with replication each
-	// replica advances independently, so PATCH vs full PUT is decided per
-	// copy, not per entry.
-	key := kind + "/" + strconv.FormatUint(id, 10) + "@" + strconv.Itoa(worker)
-	if f.tryDeltaStore(ctx, worker, kind, id, key, c) {
 		return
 	}
 	data, err := c.MarshalBinary()
@@ -1244,45 +1190,8 @@ func (f *Frontend) storeCache(ctx context.Context, worker int, kind string, id u
 	if status != http.StatusNoContent {
 		return
 	}
-	f.countBytes("tx", kind, "full", int64(len(data)))
-	f.rememberStored(key, worker, c.Len())
+	f.countBytes("tx", kind, int64(len(data)))
 	f.registerLocation(ctx, kind, id, worker)
-}
-
-// tryDeltaStore ships only the tokens the worker doesn't have: when the
-// frontend last stored this key on the same worker at N ≤ Len tokens, it
-// PATCHes the [N, Len) suffix guarded by the prefix token count and checksum.
-// Any mismatch (evicted, restarted, content drift) falls back to a full PUT —
-// correctness never depends on the worker's state, only bytes moved do.
-func (f *Frontend) tryDeltaStore(ctx context.Context, worker int, kind string, id uint64, key string, c *model.KVCache) bool {
-	f.storedMu.Lock()
-	prev, ok := f.stored[key]
-	f.storedMu.Unlock()
-	if !ok || prev.worker != worker || prev.tokens <= 0 || prev.tokens > c.Len() {
-		return false
-	}
-	delta, err := c.MarshalRange(prev.tokens, c.Len())
-	if err != nil {
-		return false
-	}
-	sum, err := c.ChecksumRange(0, prev.tokens)
-	if err != nil {
-		return false
-	}
-	u := fmt.Sprintf("%s/kv/%s/%d?from=%d", f.cfg.CacheWorkers[worker], kind, id, prev.tokens)
-	hdr := http.Header{}
-	hdr.Set(kvChecksumHeader, strconv.FormatUint(sum, 16))
-	status, _, err := f.transfer.sendHeader(ctx, worker, http.MethodPatch, u, "application/octet-stream", hdr, delta)
-	if err != nil || status != http.StatusNoContent {
-		f.deltaFallbacks.Inc()
-		f.forgetStored(key)
-		return false
-	}
-	f.countBytes("tx", kind, "delta", int64(len(delta)))
-	f.deltaStores.Inc()
-	f.rememberStored(key, worker, c.Len())
-	f.registerLocation(ctx, kind, id, worker)
-	return true
 }
 
 // registerLocation binds (kind, id) → worker in the meta service. Every
@@ -1450,16 +1359,18 @@ type FrontendStats struct {
 	// seconds; 0 means the deadline gate is still uncalibrated (never sheds).
 	CalibratedCostRatio float64 `json:"calibrated_cost_ratio"`
 	// Transfer-engine byte accounting: RxBytes counts streamed fetch payloads,
-	// TxBytes full-PUT store payloads, TxDeltaBytes suffix-only PATCH payloads.
-	RxBytes      int64 `json:"rx_bytes"`
-	TxBytes      int64 `json:"tx_bytes"`
-	TxDeltaBytes int64 `json:"tx_delta_bytes"`
-	// StreamFetches counts cache fetches decoded frame-by-frame as the body
-	// arrived; DeltaStores counts stores shipped as suffix-only appends;
-	// DeltaFallbacks counts delta attempts that fell back to a full PUT.
-	StreamFetches  int64 `json:"stream_fetches"`
+	// TxBytes store payloads (every store is a whole-cache PUT).
+	RxBytes int64 `json:"rx_bytes"`
+	TxBytes int64 `json:"tx_bytes"`
+	// TxDeltaBytes, DeltaStores and DeltaFallbacks are always 0: no store
+	// ships a suffix-only delta. They stay because the benchmark's
+	// per-layer metrics still read them.
+	TxDeltaBytes   int64 `json:"tx_delta_bytes"`
 	DeltaStores    int64 `json:"delta_stores"`
 	DeltaFallbacks int64 `json:"delta_fallbacks"`
+	// StreamFetches counts cache fetches decoded frame-by-frame as the body
+	// arrived.
+	StreamFetches int64 `json:"stream_fetches"`
 	// Write-behind queue health: coalesced re-stores of a still-queued key and
 	// stores dropped on queue overflow.
 	StoreCoalesced int64 `json:"store_coalesced"`
@@ -1503,19 +1414,9 @@ func (f *Frontend) Stats() FrontendStats {
 	}
 	guard := f.guard
 	f.mu.Unlock()
-	for key, c := range f.bytesCtr {
-		switch key {
-		case "rx/user/full", "rx/item/full", "rx/user/delta", "rx/item/delta":
-			st.RxBytes += c.Value()
-		case "tx/user/full", "tx/item/full":
-			st.TxBytes += c.Value()
-		case "tx/user/delta", "tx/item/delta":
-			st.TxDeltaBytes += c.Value()
-		}
-	}
+	st.RxBytes = f.bytesCtr["rx/user"].Value() + f.bytesCtr["rx/item"].Value()
+	st.TxBytes = f.bytesCtr["tx/user"].Value() + f.bytesCtr["tx/item"].Value()
 	st.StreamFetches = f.streamFetches.Value()
-	st.DeltaStores = f.deltaStores.Value()
-	st.DeltaFallbacks = f.deltaFallbacks.Value()
 	st.StoreCoalesced = f.storeCoalesced.Value()
 	st.StoreDrops = f.storeDrops.Value()
 	st.Replication = f.replication()

@@ -237,7 +237,7 @@ func TestScrubRepairsDivergentReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale, err := c.MarshalRange(0, 6)
+	stale, err := transferCache(t, model.TinyGR(32), 6, 5).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}

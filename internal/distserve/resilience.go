@@ -284,21 +284,10 @@ func (t *transferClient) get(ctx context.Context, target int, url string) (int, 
 
 // send issues a single-attempt (non-idempotent) request with a body.
 func (t *transferClient) send(ctx context.Context, target int, method, url, contentType string, payload []byte) (int, []byte, error) {
-	return t.sendHeader(ctx, target, method, url, contentType, nil, payload)
-}
-
-// sendHeader is send with extra request headers (the delta-store PATCH
-// carries its prefix checksum in one).
-func (t *transferClient) sendHeader(ctx context.Context, target int, method, url, contentType string, header http.Header, payload []byte) (int, []byte, error) {
 	status, body, _, err := t.roundTrip(ctx, target, false, func() (*http.Request, error) {
 		req, err := http.NewRequest(method, url, bytes.NewReader(payload))
 		if err != nil {
 			return nil, err
-		}
-		for k, vs := range header {
-			for _, v := range vs {
-				req.Header.Add(k, v)
-			}
 		}
 		if contentType != "" {
 			req.Header.Set("Content-Type", contentType)

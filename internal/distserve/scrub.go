@@ -103,8 +103,9 @@ func (g *PoolGuard) scrubOnce() {
 			}
 		}
 		// Pass 1: re-copy divergent replicas from the best one. Longest copy
-		// wins — a shorter or checksum-divergent replica is a stale prefix
-		// left behind by a delta append that only reached the primary.
+		// wins — a shorter or checksum-divergent replica is one that missed a
+		// later store of the entry (dropped, refused by an open breaker, or
+		// routed away while its worker drained).
 		for _, p := range oks {
 			if p.worker == best.worker || (p.tokens == best.tokens && p.sum == best.sum) {
 				continue
@@ -283,7 +284,7 @@ func (f *Frontend) replicateRaw(ctx context.Context, src, dst int, kind string, 
 	if resp.StatusCode != http.StatusNoContent {
 		return false
 	}
-	f.countBytes("tx", kind, "full", contentLength)
+	f.countBytes("tx", kind, contentLength)
 	f.registerLocation(ctx, kind, id, dst)
 	return true
 }

@@ -3,15 +3,19 @@ package distserve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"bat/internal/bipartite"
 	"bat/internal/model"
+	"bat/internal/ranking"
 	"bat/internal/scheduler"
 )
 
@@ -33,190 +37,105 @@ func transferCache(tb testing.TB, cfg model.Config, tokens int, seed int64) *mod
 	return c
 }
 
-// TestWorkerAppendMatchesFullPut is the delta protocol's core correctness
-// property over real HTTP: PUT(prefix) + PATCH(suffix) leaves the worker
-// holding bytes identical to PUT(full).
-func TestWorkerAppendMatchesFullPut(t *testing.T) {
-	cfg := model.TinyGR(32)
-	c := transferCache(t, cfg, 12, 5)
-	full, err := c.MarshalBinary()
+// methodCounter wraps a cache worker's handler and counts /kv/ requests by
+// HTTP method.
+type methodCounter struct {
+	next http.Handler
+	mu   sync.Mutex
+	n    map[string]int
+}
+
+func (m *methodCounter) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
+	if strings.HasPrefix(r.URL.Path, "/kv/") {
+		m.mu.Lock()
+		m.n[r.Method]++
+		m.mu.Unlock()
+	}
+	m.next.ServeHTTP(rw, r)
+}
+
+func (m *methodCounter) count(method string) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.n[method]
+}
+
+// TestStoreAfterEvictionIsOnePut: a store is one whole-cache PUT. After the
+// worker loses an entry (deleted and unbound in meta, as an eviction leaves
+// it), re-ranking the user recomputes the cache and stores it with exactly
+// one PUT and no append attempt, and the worker ends up holding the full
+// marshal of the recomputed cache.
+func TestStoreAfterEvictionIsOnePut(t *testing.T) {
+	meta := NewMetaServer(300, func() time.Time { return time.Unix(0, 0) })
+	metaSrv := httptest.NewServer(meta.Handler())
+	defer metaSrv.Close()
+	cw, err := NewCacheWorker(8 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefix, err := c.MarshalRange(0, 8)
+	counter := &methodCounter{next: cw.Handler(), n: make(map[string]int)}
+	workerSrv := httptest.NewServer(counter)
+	defer workerSrv.Close()
+	f, err := NewFrontend(FrontendConfig{
+		Dataset:      testDataset(t),
+		MetaURL:      metaSrv.URL,
+		CacheWorkers: []string{workerSrv.URL},
+		Policy:       scheduler.StaticUser{},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := c.MarshalRange(8, 12)
-	if err != nil {
+	defer f.Close()
+
+	ctx := context.Background()
+	const user = 3
+	req := RankRequest{UserID: user, CandidateIDs: []int{1, 2, 3}}
+	if _, err := f.Rank(ctx, req); err != nil {
 		t.Fatal(err)
+	}
+	flushFrontend(t, f)
+	if _, ok := cw.Peek("user/3"); !ok {
+		t.Fatal("first store never reached the worker")
 	}
 
-	cw, err := NewCacheWorker(1 << 20)
+	cw.Delete("user/3")
+	body, err := json.Marshal(RegisterRequest{EntryRef: EntryRef{Kind: "user", ID: user}, Worker: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(cw.Handler())
-	defer srv.Close()
-
-	put, _ := http.NewRequest(http.MethodPut, srv.URL+"/kv/user/1", bytes.NewReader(prefix))
-	resp, err := http.DefaultClient.Do(put)
+	resp, err := http.Post(metaSrv.URL+"/v1/unregister", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("PUT prefix status %d", resp.StatusCode)
-	}
 
-	patch, _ := http.NewRequest(http.MethodPatch, srv.URL+"/kv/user/1?from=8", bytes.NewReader(delta))
-	patch.Header.Set("X-KV-Checksum", strconv.FormatUint(model.ChecksumEncoded(prefix), 16))
-	resp, err = http.DefaultClient.Do(patch)
+	puts, patches := counter.count(http.MethodPut), counter.count(http.MethodPatch)
+	out, err := f.Rank(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("PATCH status %d", resp.StatusCode)
+	if out.ReusedTokens != 0 {
+		t.Fatalf("re-rank reused %d tokens of a removed entry", out.ReusedTokens)
+	}
+	flushFrontend(t, f)
+	if n := counter.count(http.MethodPut) - puts; n != 1 {
+		t.Fatalf("re-store sent %d PUTs, want 1", n)
+	}
+	if n := counter.count(http.MethodPatch) - patches; n != 0 {
+		t.Fatalf("re-store sent %d PATCHes, want 0", n)
 	}
 
-	got, ok := cw.Get("user/1")
-	if !ok {
-		t.Fatal("entry missing after append")
-	}
-	if !bytes.Equal(got, full) {
-		t.Fatalf("appended bytes differ from full PUT (%d vs %d bytes)", len(got), len(full))
-	}
-	st := cw.Stats()
-	if st.Appends != 1 || st.AppendRejects != 0 {
-		t.Fatalf("appends=%d rejects=%d, want 1/0", st.Appends, st.AppendRejects)
-	}
-
-	// The guards: wrong checksum and wrong token count are 409 conflicts (the
-	// client should re-PUT), a malformed delta is a 400, a missing key a 404.
-	rejects := []struct {
-		url, checksum string
-		body          []byte
-		want          int
-	}{
-		{srv.URL + "/kv/user/1?from=12", "0", delta, http.StatusConflict},
-		{srv.URL + "/kv/user/1?from=8", "0", delta, http.StatusConflict},
-		{srv.URL + "/kv/user/1?from=12", strconv.FormatUint(model.ChecksumEncoded(full), 16), delta[:9], http.StatusBadRequest},
-		{srv.URL + "/kv/user/2?from=8", strconv.FormatUint(model.ChecksumEncoded(prefix), 16), delta, http.StatusNotFound},
-	}
-	for i, rej := range rejects {
-		req, _ := http.NewRequest(http.MethodPatch, rej.url, bytes.NewReader(rej.body))
-		req.Header.Set("X-KV-Checksum", rej.checksum)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != rej.want {
-			t.Fatalf("reject %d: status %d, want %d", i, resp.StatusCode, rej.want)
-		}
-	}
-	if got, _ := cw.Get("user/1"); !bytes.Equal(got, full) {
-		t.Fatal("rejected PATCHes corrupted the stored entry")
-	}
-}
-
-// TestFrontendDeltaStoreAndFallback drives the frontend's store path: the
-// second store of a grown cache ships a suffix-only PATCH; when the worker's
-// content drifts behind the frontend's back, the checksum guard rejects the
-// delta and the store falls back to a full PUT — the worker always ends up
-// with the exact full-marshal bytes.
-func TestFrontendDeltaStoreAndFallback(t *testing.T) {
-	d := newDeployment(t, 1, scheduler.StaticUser{})
-	f := d.frontend
-	cfg := f.ranker.W.Config()
-	ctx := context.Background()
-
-	grown := transferCache(t, cfg, 12, 9)
-	prefixBytes, err := grown.MarshalRange(0, 8)
+	_, run, err := f.ranker.Rank(ranking.EvalRequest{User: user, Candidates: req.CandidateIDs},
+		bipartite.UserPrefix, ranking.RankOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefix := model.NewKVCache(cfg)
-	if err := prefix.UnmarshalBinary(prefixBytes); err != nil {
-		t.Fatal(err)
-	}
-	full, err := grown.MarshalBinary()
+	want, err := run.NewUserCache.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Store prefix (full PUT), then the grown cache (delta PATCH).
-	f.storeCache(ctx, 0, "user", 1, prefix)
-	f.storeCache(ctx, 0, "user", 1, grown)
-	if got, _ := d.workers[0].Get("user/1"); !bytes.Equal(got, full) {
-		t.Fatal("delta store left the worker with different bytes than a full PUT")
-	}
-	st := f.Stats()
-	if st.DeltaStores != 1 || st.DeltaFallbacks != 0 {
-		t.Fatalf("delta_stores=%d fallbacks=%d, want 1/0", st.DeltaStores, st.DeltaFallbacks)
-	}
-	if st.TxDeltaBytes <= 0 || st.TxDeltaBytes >= int64(len(full)) {
-		t.Fatalf("tx_delta_bytes=%d, want in (0, %d)", st.TxDeltaBytes, len(full))
-	}
-
-	// Drift: replace the worker's content behind the frontend's back, then
-	// grow again. The PATCH 409s and the fallback full PUT restores truth.
-	if err := d.workers[0].Put("user/1", prefixBytes); err != nil {
-		t.Fatal(err)
-	}
-	grown2 := transferCache(t, cfg, 16, 9)
-	full2, err := grown2.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.storeCache(ctx, 0, "user", 1, grown2)
-	if got, _ := d.workers[0].Get("user/1"); !bytes.Equal(got, full2) {
-		t.Fatal("fallback did not restore the full payload")
-	}
-	st = f.Stats()
-	if st.DeltaFallbacks != 1 {
-		t.Fatalf("delta_fallbacks=%d, want 1", st.DeltaFallbacks)
-	}
-	if d.workers[0].Stats().AppendRejects == 0 {
-		t.Fatal("worker never counted the rejected append")
-	}
-
-	// After the fallback the frontend re-learned the stored size; the next
-	// grow is a delta again.
-	grown3 := transferCache(t, cfg, 20, 9)
-	f.storeCache(ctx, 0, "user", 1, grown3)
-	if f.Stats().DeltaStores != 2 {
-		t.Fatalf("delta_stores=%d after recovery, want 2", f.Stats().DeltaStores)
-	}
-}
-
-// TestDeltaStoresReduceCommitBytes pins the acceptance number: on an
-// append-heavy workload (a cache growing in small steps, re-stored each
-// step), delta stores move less than half the bytes full PUTs would.
-func TestDeltaStoresReduceCommitBytes(t *testing.T) {
-	d := newDeployment(t, 1, scheduler.StaticUser{})
-	f := d.frontend
-	cfg := f.ranker.W.Config()
-	ctx := context.Background()
-
-	var fullEveryTime int64
-	for tokens := 16; tokens <= 48; tokens += 4 {
-		c := transferCache(t, cfg, tokens, 21)
-		data, err := c.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fullEveryTime += int64(len(data))
-		f.storeCache(ctx, 0, "user", 7, c)
-	}
-	st := f.Stats()
-	moved := st.TxBytes + st.TxDeltaBytes
-	if st.DeltaStores == 0 {
-		t.Fatal("append-heavy workload never used a delta store")
-	}
-	if moved*2 > fullEveryTime {
-		t.Fatalf("delta stores moved %d bytes; full PUTs would move %d — want >=50%% reduction", moved, fullEveryTime)
+	if got, ok := cw.Peek("user/3"); !ok || !bytes.Equal(got, want) {
+		t.Fatalf("worker holds %d bytes, want the %d-byte full marshal of the recomputed cache", len(got), len(want))
 	}
 }
 
@@ -353,8 +272,8 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// BenchmarkStoreFullPut vs BenchmarkStoreDeltaAppend: the worker-side cost of
-// re-storing a grown cache whole versus splicing just the suffix.
+// BenchmarkStoreFullPut: the worker-side cost of storing a 64-token cache
+// whole, which is what every store does.
 func BenchmarkStoreFullPut(b *testing.B) {
 	cfg := model.TinyGR(32)
 	grown := transferCache(b, cfg, 64, 2)
@@ -371,37 +290,6 @@ func BenchmarkStoreFullPut(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := cw.Put("user/1", full); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkStoreDeltaAppend(b *testing.B) {
-	cfg := model.TinyGR(32)
-	grown := transferCache(b, cfg, 64, 2)
-	prefix, err := grown.MarshalRange(0, 60)
-	if err != nil {
-		b.Fatal(err)
-	}
-	delta, err := grown.MarshalRange(60, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sum := model.ChecksumEncoded(prefix)
-	cw, err := NewCacheWorker(64 << 20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(delta)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if err := cw.Put("user/1", prefix); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if err := cw.Append("user/1", 60, sum, delta); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"sort"
-	"strconv"
 	"time"
 
 	"bat/internal/distserve"
@@ -20,8 +19,7 @@ import (
 // on this machine — the BENCH_transfer.json artifact. Codec numbers compare
 // the BKV2 bulk byte-block paths against the portable scalar fallback on the
 // same payload; fetch numbers time real HTTP round trips against a cache
-// worker with the streaming frame decoder; delta numbers replay an
-// append-heavy store workload and count bytes on the wire.
+// worker with the streaming frame decoder.
 type TransferBenchResult struct {
 	Model        string `json:"model"`
 	Tokens       int    `json:"tokens"`
@@ -43,13 +41,6 @@ type TransferBenchResult struct {
 	FetchP50Ms    float64 `json:"fetch_p50_ms"`
 	FetchP99Ms    float64 `json:"fetch_p99_ms"`
 	FetchMBps     float64 `json:"fetch_mb_s"`
-
-	// Append-heavy store workload: one full PUT then suffix-only PATCH
-	// deltas, versus re-PUTting the whole payload each step.
-	StoreSteps     int     `json:"store_steps"`
-	FullStoreBytes int64   `json:"full_store_bytes"`
-	DeltaBytes     int64   `json:"delta_store_bytes"`
-	DeltaReduction float64 `json:"delta_byte_reduction"`
 }
 
 // transferBenchCache builds a tokens-long cache of real forward-pass rows.
@@ -96,7 +87,7 @@ func bestOf(reps, iters int, fn func() error) (time.Duration, error) {
 
 // RunTransferBench measures the transfer engine end to end: codec MB/s (bulk
 // and forced-scalar), streaming fetch latency against a real cache-worker
-// HTTP server, and delta-vs-full bytes on an append-heavy store replay.
+// HTTP server.
 func RunTransferBench(opts Options) (*TransferBenchResult, error) {
 	opts = opts.withDefaults()
 	// BenchGR at 256 tokens is ~1MB — cache-resident like the per-layer
@@ -191,58 +182,6 @@ func RunTransferBench(opts Options) (*TransferBenchResult, error) {
 	res.FetchP99Ms = lat[len(lat)*99/100].Seconds() * 1e3
 	res.FetchMBps = mbps(len(data), lat[len(lat)/2])
 
-	// Append-heavy store replay: grow the cache in steps, PATCHing only the
-	// suffix each step, versus re-PUTting the whole payload.
-	step := tokens / 8
-	if step < 1 {
-		step = 1
-	}
-	grown, err := transferBenchCache(cfg, tokens, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	first := step
-	prefix, err := grown.MarshalRange(0, first)
-	if err != nil {
-		return nil, err
-	}
-	if err := cw.Put("user/1", prefix); err != nil {
-		return nil, err
-	}
-	res.DeltaBytes = int64(len(prefix))
-	res.FullStoreBytes = int64(len(prefix))
-	for from := first; from+step <= tokens; from += step {
-		res.StoreSteps++
-		delta, err := grown.MarshalRange(from, from+step)
-		if err != nil {
-			return nil, err
-		}
-		stored, ok := cw.Get("user/1")
-		if !ok {
-			return nil, fmt.Errorf("transferbench: stored prefix vanished")
-		}
-		sum := model.ChecksumEncoded(stored)
-		req, _ := http.NewRequest(http.MethodPatch,
-			srv.URL+"/kv/user/1?from="+strconv.Itoa(from), bytes.NewReader(delta))
-		req.Header.Set("X-KV-Checksum", strconv.FormatUint(sum, 16))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNoContent {
-			return nil, fmt.Errorf("transferbench: append status %d", resp.StatusCode)
-		}
-		res.DeltaBytes += int64(len(delta))
-		full, err := grown.MarshalRange(0, from+step)
-		if err != nil {
-			return nil, err
-		}
-		res.FullStoreBytes += int64(len(full))
-	}
-	if res.FullStoreBytes > 0 {
-		res.DeltaReduction = 1 - float64(res.DeltaBytes)/float64(res.FullStoreBytes)
-	}
 	return res, nil
 }
 
@@ -268,12 +207,9 @@ func (res *TransferBenchResult) Table() *Table {
 		f2(res.BulkUnmarshalSpeedup)+"x")
 	t.AddRow("stream decode MB/s", f1(res.StreamDecodeMBps), "-", "-")
 	t.AddRow("fetch p50 / p99 ms", f2(res.FetchP50Ms), f2(res.FetchP99Ms), f1(res.FetchMBps)+" MB/s")
-	t.AddRow("store bytes (delta vs full)", fmt.Sprintf("%d", res.DeltaBytes),
-		fmt.Sprintf("%d", res.FullStoreBytes), pct(res.DeltaReduction)+" saved")
 	t.Notes = append(t.Notes,
 		"bulk = BKV2 byte-block codec, scalar = portable per-float fallback",
-		fmt.Sprintf("fetch = %d streamed HTTP GETs against a live cache worker, decode overlapping receive", res.Fetches),
-		fmt.Sprintf("delta row replays %d append-heavy store steps (PUT prefix + PATCH suffixes)", res.StoreSteps))
+		fmt.Sprintf("fetch = %d streamed HTTP GETs against a live cache worker, decode overlapping receive", res.Fetches))
 	return t
 }
 

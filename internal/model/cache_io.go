@@ -10,9 +10,8 @@ import (
 
 // KV cache wire format, the payload the disaggregated cache pool's transfer
 // engine moves between workers (§5.1). BKV2 frames each layer so a receiver
-// can decode as bytes arrive instead of buffering the whole payload, and so a
-// stored payload can be extended by splicing suffix-token frames in place
-// (delta appends). Layout (all integers little endian):
+// can decode as bytes arrive instead of buffering the whole payload. Layout
+// (all integers little endian):
 //
 //	header (20 bytes):
 //	  magic  uint32  'BKV2'
@@ -124,10 +123,6 @@ func (h WireHeader) PayloadSize() int {
 	return wireHeaderSize + h.Layers*(frameHeaderSize+h.layerBytes())
 }
 
-func (h WireHeader) sameArch(o WireHeader) bool {
-	return h.Layers == o.Layers && h.KVHeads == o.KVHeads && h.HeadDim == o.HeadDim
-}
-
 // ParseWireHeader validates a BKV2 header prefix and returns its fields. The
 // dimension caps reject hostile headers before any caller allocates; the caps
 // also guarantee PayloadSize cannot overflow (4096 layers of 2^20 tokens at
@@ -201,29 +196,20 @@ func (c *KVCache) EncodedSize() int { return c.wireHeader(c.n).PayloadSize() }
 
 // MarshalBinary serializes the cache for network transfer or spill, encoding
 // straight into one exactly-sized buffer.
-func (c *KVCache) MarshalBinary() ([]byte, error) { return c.MarshalRange(0, c.n) }
-
-// MarshalRange serializes tokens [lo, hi) as a standalone BKV2 payload. The
-// transfer engine uses suffix ranges as delta-append bodies: because frames
-// are raw K/V bytes, PUT(prefix) spliced with PATCH(suffix) is byte-identical
-// to PUT(full).
-func (c *KVCache) MarshalRange(lo, hi int) ([]byte, error) {
-	if lo < 0 || hi < lo || hi > c.n {
-		return nil, fmt.Errorf("model: marshal range [%d,%d) out of [0,%d]", lo, hi, c.n)
-	}
-	h := c.wireHeader(hi - lo)
+func (c *KVCache) MarshalBinary() ([]byte, error) {
+	h := c.wireHeader(c.n)
 	st := c.stride()
 	buf := make([]byte, 0, h.PayloadSize())
 	var hdr [wireHeaderSize]byte
-	putWireHeader(hdr[:], c.cfg, h.Tokens)
+	putWireHeader(hdr[:], c.cfg, c.n)
 	buf = append(buf, hdr[:]...)
 	var fh [frameHeaderSize]byte
 	for l := 0; l < c.cfg.Layers; l++ {
 		putFrameHeader(fh[:], l, h.layerBytes())
 		buf = append(buf, fh[:]...)
-		k, v := c.store.layerData(l, hi)
-		buf = encodeF32(buf, k[lo*st:hi*st])
-		buf = encodeF32(buf, v[lo*st:hi*st])
+		k, v := c.store.layerData(l, c.n)
+		buf = encodeF32(buf, k[:c.n*st])
+		buf = encodeF32(buf, v[:c.n*st])
 	}
 	return buf, nil
 }
@@ -392,113 +378,15 @@ func (c *KVCache) ReadFrom(r io.Reader) (int64, error) {
 	return read, nil
 }
 
-// FNV-1a 64, inlined so checksums stream over encoded bytes without a hasher
-// allocation per payload.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnv64a(h uint64, b []byte) uint64 {
-	for _, x := range b {
+// ChecksumEncoded returns the FNV-1a/64 checksum of an encoded payload,
+// inlined so it costs no hasher allocation. A cache worker reports it for its
+// stored bytes on HEAD probes, and the scrubber compares it across replicas.
+func ChecksumEncoded(data []byte) uint64 {
+	const prime64 = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, x := range data {
 		h ^= uint64(x)
-		h *= fnvPrime64
+		h *= prime64
 	}
 	return h
-}
-
-// ChecksumEncoded returns the FNV-1a/64 checksum of an encoded payload. The
-// cache worker hashes its stored bytes with this to validate a delta append's
-// prefix guard.
-func ChecksumEncoded(data []byte) uint64 { return fnv64a(fnvOffset64, data) }
-
-// ChecksumRange returns ChecksumEncoded(MarshalRange(lo, hi)) without
-// materializing the encoding — the frontend stamps delta PATCHes with the
-// prefix checksum the worker must already hold.
-func (c *KVCache) ChecksumRange(lo, hi int) (uint64, error) {
-	if lo < 0 || hi < lo || hi > c.n {
-		return 0, fmt.Errorf("model: checksum range [%d,%d) out of [0,%d]", lo, hi, c.n)
-	}
-	h := c.wireHeader(hi - lo)
-	st := c.stride()
-	sum := uint64(fnvOffset64)
-	var hdr [wireHeaderSize]byte
-	putWireHeader(hdr[:], c.cfg, h.Tokens)
-	sum = fnv64a(sum, hdr[:])
-	var fh [frameHeaderSize]byte
-	var scratch []byte // scalar fallback only
-	for l := 0; l < c.cfg.Layers; l++ {
-		putFrameHeader(fh[:], l, h.layerBytes())
-		sum = fnv64a(sum, fh[:])
-		k, v := c.store.layerData(l, hi)
-		for _, vals := range [2][]float32{k[lo*st : hi*st], v[lo*st : hi*st]} {
-			if bulkCodec() {
-				sum = fnv64a(sum, f32Bytes(vals))
-			} else {
-				scratch = encodeF32(scratch[:0], vals)
-				sum = fnv64a(sum, scratch)
-			}
-		}
-	}
-	return sum, nil
-}
-
-// AppendEncoded splices a delta payload (the MarshalRange suffix of a grown
-// cache) onto a stored payload, entirely at the wire level: per layer the
-// merged frame is storedK‖deltaK then storedV‖deltaV, so no float is ever
-// decoded. The result is byte-identical to marshaling the grown cache whole.
-func AppendEncoded(stored, delta []byte) ([]byte, error) {
-	sh, err := ParseWireHeader(stored)
-	if err != nil {
-		return nil, fmt.Errorf("model: append stored: %w", err)
-	}
-	dh, err := ParseWireHeader(delta)
-	if err != nil {
-		return nil, fmt.Errorf("model: append delta: %w", err)
-	}
-	if !sh.sameArch(dh) {
-		return nil, fmt.Errorf("model: append arch mismatch: stored L=%d H=%d D=%d, delta L=%d H=%d D=%d",
-			sh.Layers, sh.KVHeads, sh.HeadDim, dh.Layers, dh.KVHeads, dh.HeadDim)
-	}
-	if len(stored) != sh.PayloadSize() {
-		return nil, fmt.Errorf("model: append stored payload is %d bytes, want %d", len(stored), sh.PayloadSize())
-	}
-	if len(delta) != dh.PayloadSize() {
-		return nil, fmt.Errorf("model: append delta payload is %d bytes, want %d", len(delta), dh.PayloadSize())
-	}
-	mh := sh
-	mh.Tokens = sh.Tokens + dh.Tokens
-	if mh.Tokens > MaxWireTokens {
-		return nil, fmt.Errorf("model: append result tokens %d exceed max %d", mh.Tokens, MaxWireTokens)
-	}
-	sHalf, dHalf := sh.layerBytes()/2, dh.layerBytes()/2
-	out := make([]byte, 0, mh.PayloadSize())
-	var hdr [wireHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], cacheMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(mh.Layers))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(mh.KVHeads))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(mh.HeadDim))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(mh.Tokens))
-	out = append(out, hdr[:]...)
-	var fh [frameHeaderSize]byte
-	sOff, dOff := wireHeaderSize, wireHeaderSize
-	for l := 0; l < mh.Layers; l++ {
-		if err := checkFrameHeader(stored[sOff:sOff+frameHeaderSize], l, sh.layerBytes()); err != nil {
-			return nil, fmt.Errorf("model: append stored: %w", err)
-		}
-		if err := checkFrameHeader(delta[dOff:dOff+frameHeaderSize], l, dh.layerBytes()); err != nil {
-			return nil, fmt.Errorf("model: append delta: %w", err)
-		}
-		sOff += frameHeaderSize
-		dOff += frameHeaderSize
-		putFrameHeader(fh[:], l, mh.layerBytes())
-		out = append(out, fh[:]...)
-		out = append(out, stored[sOff:sOff+sHalf]...) // K stored
-		out = append(out, delta[dOff:dOff+dHalf]...)  // K delta
-		out = append(out, stored[sOff+sHalf:sOff+2*sHalf]...) // V stored
-		out = append(out, delta[dOff+dHalf:dOff+2*dHalf]...)  // V delta
-		sOff += 2 * sHalf
-		dOff += 2 * dHalf
-	}
-	return out, nil
 }

@@ -82,39 +82,3 @@ func FuzzKVCacheReadFrom(f *testing.F) {
 		}
 	})
 }
-
-// FuzzAppendEncoded fuzzes the wire-level delta splice: never panic, and any
-// accepted result must be a structurally valid payload that decodes.
-func FuzzAppendEncoded(f *testing.F) {
-	w := NewWeights(TinyGR(32), 1)
-	cache := NewKVCache(w.Config())
-	w.Forward([]int{1, 2, 3, 4}, []int{0, 1, 2, 3}, nil, cache)
-	full, err := cache.MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
-	}
-	prefix, _ := cache.MarshalRange(0, 2)
-	suffix, _ := cache.MarshalRange(2, 4)
-	f.Add(prefix, suffix)
-	f.Add(full, full)
-	f.Add([]byte{}, full)
-	f.Add(full[:13], suffix)
-	f.Fuzz(func(t *testing.T, stored, delta []byte) {
-		merged, err := AppendEncoded(stored, delta)
-		if err != nil {
-			return
-		}
-		h, err := ParseWireHeader(merged)
-		if err != nil {
-			t.Fatalf("accepted splice has bad header: %v", err)
-		}
-		if len(merged) != h.PayloadSize() {
-			t.Fatalf("accepted splice is %d bytes, header says %d", len(merged), h.PayloadSize())
-		}
-		if h.Layers == TinyGR(32).Layers && h.KVHeads == TinyGR(32).KVHeads && h.HeadDim == TinyGR(32).HeadDim {
-			if err := NewKVCache(TinyGR(32)).UnmarshalBinary(merged); err != nil {
-				t.Fatalf("accepted splice does not decode: %v", err)
-			}
-		}
-	})
-}
