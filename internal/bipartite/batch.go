@@ -1,8 +1,8 @@
 package bipartite
 
 import (
+	"encoding/binary"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"bat/internal/model"
@@ -101,9 +101,12 @@ func ExecuteBatchCancelable(w *model.Weights, items []BatchItem, cancels []func(
 	}
 
 	// Phase B: pack the survivors. Batched absolute index space is
-	// [all prefixes, in item order][all suffixes, in item order]; owner/local
-	// map each batched index back to its item and that item's own layout
-	// index, so the batch mask can delegate to each layout's mask.
+	// [all prefixes, in item order][all suffixes, in item order]. Each item's
+	// keys occupy two contiguous batched-index ranges (its prefix block and
+	// its suffix block); the batch mask maps an index back to its item's own
+	// layout index through them and delegates to that layout's mask, and the
+	// attention loop skips foreign blocks wholesale. owner names the item of
+	// each suffix token, so nothing here grows with the cached prefix.
 	var alive []int
 	totalPrefix, totalSuffix := 0, 0
 	for i := range items {
@@ -117,21 +120,13 @@ func ExecuteBatchCancelable(w *model.Weights, items []BatchItem, cancels []func(
 	if len(alive) == 0 {
 		return runs, errs
 	}
-	owner := make([]int32, totalPrefix+totalSuffix)
-	local := make([]int32, totalPrefix+totalSuffix)
-	// Each item's keys occupy two contiguous batched-index ranges (its
-	// prefix block and its suffix block); recording them lets the attention
-	// loop skip foreign blocks wholesale instead of testing every key.
+	owner := make([]int32, totalSuffix)
 	prefRange := make([][2]int, n)
 	sufRange := make([][2]int, n)
 	off := 0
 	for _, i := range alive {
-		prefRange[i][0] = off
-		for t := 0; t < prefixLen(parts[i]); t++ {
-			owner[off], local[off] = int32(i), int32(t)
-			off++
-		}
-		prefRange[i][1] = off
+		prefRange[i] = [2]int{off, off + prefixLen(parts[i])}
+		off = prefRange[i][1]
 	}
 	sufTokens := make([]int, 0, totalSuffix)
 	sufPos := make([]int, 0, totalSuffix)
@@ -148,7 +143,7 @@ func ExecuteBatchCancelable(w *model.Weights, items []BatchItem, cancels []func(
 		readRange[i][1] = len(readRows)
 		sufRange[i][0] = off
 		for t := l.PrefixLen; t < l.Len(); t++ {
-			owner[off], local[off] = int32(i), int32(t)
+			owner[off-totalPrefix] = int32(i)
 			off++
 			sufTokens = append(sufTokens, l.Tokens[t])
 			sufPos = append(sufPos, l.Pos[t])
@@ -170,13 +165,13 @@ func ExecuteBatchCancelable(w *model.Weights, items []BatchItem, cancels []func(
 	for _, i := range alive {
 		masks[i] = items[i].Layout.Mask()
 	}
-	bm := batchMask{owner, local, masks, prefRange, sufRange}
+	bm := batchMask{base: totalPrefix, owner: owner, masks: masks, prefRange: prefRange, sufRange: sufRange}
 	var mask model.Mask = bm
-	if ex := buildExactBatchMask(items, alive, bm, totalPrefix, totalSuffix); ex != nil {
+	if ex := buildExactBatchMask(alive, bm); ex != nil {
 		mask = ex
 	}
 	hidden := w.ForwardRows(sufTokens, sufPos, mask, combined, readRows)
-	combined.Release() // reclaim arena pages; no-op for contiguous storage
+	combined.Release() // return the tail to its pool, or pages to their arena
 
 	// Split the read rows back into per-item views (zero copy).
 	for _, i := range alive {
@@ -442,10 +437,12 @@ func (p *missPlan) distribute(runs []*Run, parts [][]*model.KVCache) {
 
 // itemMissKey and userMissKey are the planner's content keys: equal keys
 // guarantee equal forwards (same tokens, same anchor positions, same
-// prefix-region mask behavior).
+// prefix-region mask behavior). A key is a kind byte followed by every value
+// as 8 fixed-width bytes, so it spells out its content exactly: there is no
+// hash, and two different misses never share a key.
 func itemMissKey(posStart int, tokens []int) string {
 	var b strings.Builder
-	b.Grow(8 + 8*len(tokens))
+	b.Grow(1 + 8*(1+len(tokens)))
 	b.WriteByte('i')
 	writeKeyInt(&b, posStart)
 	for _, t := range tokens {
@@ -456,7 +453,7 @@ func itemMissKey(posStart int, tokens []int) string {
 
 func userMissKey(l *Layout) string {
 	var b strings.Builder
-	b.Grow(8 + 16*l.PrefixLen)
+	b.Grow(1 + 16*l.PrefixLen)
 	b.WriteByte('u')
 	for i := 0; i < l.PrefixLen; i++ {
 		writeKeyInt(&b, l.Tokens[i])
@@ -466,17 +463,19 @@ func userMissKey(l *Layout) string {
 }
 
 func writeKeyInt(b *strings.Builder, v int) {
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(v))
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], uint64(v))
+	b.Write(w[:])
 }
 
 // batchMask is the block-diagonal cross-request mask: a query sees a key only
 // when both belong to the same item, and then exactly when that item's own
 // layout mask allows the pair. Indices are batched absolute positions over
-// (all packed prefixes, then all packed suffixes).
+// (all packed prefixes, then all packed suffixes); queries are always packed
+// suffix tokens, the only tokens the batched forward computes.
 type batchMask struct {
-	owner []int32 // batched index -> items index
-	local []int32 // batched index -> that item's own layout index
+	base  int     // batched index of the first suffix token (= total prefix)
+	owner []int32 // suffix token (batched index - base) -> items index
 	masks []model.Mask
 	// prefRange/sufRange are each item's contiguous batched-index key
 	// blocks, backing the model.KeyRanger fast path.
@@ -484,12 +483,27 @@ type batchMask struct {
 	sufRange  [][2]int
 }
 
+// local maps batched index k to item o's own layout index, and reports
+// whether k belongs to item o at all.
+func (m batchMask) local(o int32, k int) (int, bool) {
+	p := m.prefRange[o]
+	if p[0] <= k && k < p[1] {
+		return k - p[0], true
+	}
+	if s := m.sufRange[o]; s[0] <= k && k < s[1] {
+		return p[1] - p[0] + k - s[0], true
+	}
+	return 0, false
+}
+
 func (m batchMask) Allowed(q, k int) bool {
-	o := m.owner[q]
-	if m.owner[k] != o {
+	o := m.owner[q-m.base]
+	lk, ok := m.local(o, k)
+	if !ok {
 		return false
 	}
-	return m.masks[o].Allowed(int(m.local[q]), int(m.local[k]))
+	lq, _ := m.local(o, q)
+	return m.masks[o].Allowed(lq, lk)
 }
 
 // KeyRanges implements model.KeyRanger: a query's allowed keys all live in
@@ -497,7 +511,7 @@ func (m batchMask) Allowed(q, k int) bool {
 // every other item's keys without per-key mask calls. The suffix block
 // contains q itself, satisfying the interface contract.
 func (m batchMask) KeyRanges(q int, dst [][2]int) [][2]int {
-	o := m.owner[q]
+	o := m.owner[q-m.base]
 	if r := m.prefRange[o]; r[0] < r[1] {
 		dst = append(dst, r)
 	}
@@ -512,7 +526,6 @@ func (m batchMask) KeyRanges(q int, dst [][2]int) [][2]int {
 // NegInf, at every layer and head.
 type exactBatchMask struct {
 	batchMask
-	base int     // batched index of the first suffix token (= total prefix)
 	off  []int32 // per-suffix-query offsets into flat
 	flat [][2]int
 }
@@ -530,8 +543,8 @@ func (m exactBatchMask) ExactKeyRanges(q int, dst [][2]int) [][2]int {
 // suffix block. Both blocks are contiguous and items are packed in order, so
 // translated ranges stay disjoint and ascending. Returns nil when any item's
 // mask cannot enumerate exact ranges (the superset batchMask then applies).
-func buildExactBatchMask(items []BatchItem, alive []int, m batchMask, totalPrefix, totalSuffix int) model.Mask {
-	ekrs := make([]model.ExactKeyRanger, len(items))
+func buildExactBatchMask(alive []int, m batchMask) model.Mask {
+	ekrs := make([]model.ExactKeyRanger, len(m.masks))
 	for _, i := range alive {
 		e, ok := m.masks[i].(model.ExactKeyRanger)
 		if !ok {
@@ -539,22 +552,22 @@ func buildExactBatchMask(items []BatchItem, alive []int, m batchMask, totalPrefi
 		}
 		ekrs[i] = e
 	}
-	off := make([]int32, totalSuffix+1)
-	flat := make([][2]int, 0, 3*totalSuffix)
+	off := make([]int32, len(m.owner)+1)
+	flat := make([][2]int, 0, 3*len(m.owner))
 	var lr [][2]int
-	for b := totalPrefix; b < totalPrefix+totalSuffix; b++ {
-		i := int(m.owner[b])
-		p := items[i].Layout.PrefixLen
-		lr = ekrs[i].ExactKeyRanges(int(m.local[b]), lr[:0])
+	for qi, o := range m.owner {
+		pre, suf := m.prefRange[o], m.sufRange[o]
+		p := pre[1] - pre[0] // the item's layout prefix length
+		lr = ekrs[o].ExactKeyRanges(p+m.base+qi-suf[0], lr[:0])
 		for _, r := range lr {
 			if lo, hi := r[0], min(r[1], p); lo < hi {
-				flat = append(flat, [2]int{m.prefRange[i][0] + lo, m.prefRange[i][0] + hi})
+				flat = append(flat, [2]int{pre[0] + lo, pre[0] + hi})
 			}
 			if lo, hi := max(r[0], p), r[1]; lo < hi {
-				flat = append(flat, [2]int{m.sufRange[i][0] + lo - p, m.sufRange[i][0] + hi - p})
+				flat = append(flat, [2]int{suf[0] + lo - p, suf[0] + hi - p})
 			}
 		}
-		off[b-totalPrefix+1] = int32(len(flat))
+		off[qi+1] = int32(len(flat))
 	}
-	return exactBatchMask{batchMask: m, base: totalPrefix, off: off, flat: flat}
+	return exactBatchMask{batchMask: m, off: off, flat: flat}
 }

@@ -256,11 +256,12 @@ func TestExecuteBatchEmptyAndNil(t *testing.T) {
 	}
 }
 
-// TestExecuteBatchHitAssemblesContextOnce pins the one-copy context: a
-// user-prefix hit allocates its attention context (cached prefix + room for
-// the suffix) once. Before, the prefix was copied at exact capacity and the
-// packed forward's reserve then doubled and copied it again — three times the
-// context in allocated bytes.
+// TestExecuteBatchHitAssemblesContextOnce bounds what a user-prefix hit
+// allocates by twice its attention context (cached prefix + suffix). A
+// context once cost three times that: the prefix was copied at exact
+// capacity, and the packed forward's reserve then doubled and copied it
+// again. The context is now a view that copies nothing, and
+// TestExecuteBatchHitBytesFlatInPrefix holds it there.
 func TestExecuteBatchHitAssemblesContextOnce(t *testing.T) {
 	w := testWeights()
 	l, err := Build(UserPrefix, testPrompt(rand.New(rand.NewSource(5)), 512, 2, 2, 2))
@@ -290,5 +291,93 @@ func TestExecuteBatchHitAssemblesContextOnce(t *testing.T) {
 	t.Logf("one hit-path ExecuteBatch allocates %d bytes; its context holds %d", perRun, context)
 	if perRun > 2*context {
 		t.Errorf("one hit-path ExecuteBatch allocated %d bytes, over twice its %d-byte context: the context is being copied more than once", perRun, context)
+	}
+}
+
+// TestExecuteBatchHitBytesFlatInPrefix is the copy-free context's gate: a
+// user-prefix hit reads its cached prefix in place, so one hit-path
+// ExecuteBatch allocates the same bytes, within a small constant, whether the
+// prefix holds 128 or 384 tokens. A context that copied the prefix would
+// allocate 256 tokens' K/V (64 KB here) more at 384.
+func TestExecuteBatchHitBytesFlatInPrefix(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomly drops sync.Pool buffers; byte counts are not meaningful")
+	}
+	tensor.SetParallelism(2) // the 384-token attention fans out; the 128-token one runs inline
+	defer tensor.SetParallelism(0)
+	gc := debug.SetGCPercent(-1) // a collection would empty the pools mid-measure
+	defer debug.SetGCPercent(gc)
+	w := testWeights()
+	bytesAt := func(prefix int) uint64 {
+		l, err := Build(UserPrefix, testPrompt(rand.New(rand.NewSource(5)), prefix, 2, 2, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := Execute(w, l, CacheSet{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		items := []BatchItem{{Layout: l, Caches: CacheSet{User: cold.NewUserCache}}}
+		if _, err := ExecuteBatch(w, items); err != nil { // size the pools
+			t.Fatal(err)
+		}
+		const runs = 8
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := ExecuteBatch(w, items); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	short, long := bytesAt(128), bytesAt(384)
+	t.Logf("one hit-path ExecuteBatch allocates %d bytes over a 128-token prefix, %d over 384", short, long)
+	if long > short+512 || short > long+512 {
+		t.Errorf("a hit allocates %d bytes over a 128-token prefix but %d over 384: something on the hit path grows with the cached prefix", short, long)
+	}
+}
+
+// TestMissKeysExact pins the dedup keys' contract: equal content gives equal
+// keys, and a change of one token or one position gives a different key.
+func TestMissKeysExact(t *testing.T) {
+	p := testPrompt(rand.New(rand.NewSource(3)), 6, 2, 3, 1)
+	build := func(p Prompt) *Layout {
+		l, err := Build(UserPrefix, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	key := userMissKey(build(p))
+	if userMissKey(build(p)) != key {
+		t.Fatal("equal user prefixes got different keys")
+	}
+	q := p
+	q.User = append([]int(nil), p.User...)
+	q.User[4]++
+	if userMissKey(build(q)) == key {
+		t.Fatal("user prefixes one token apart share a key")
+	}
+	moved := build(p)
+	moved.Pos[2]++
+	if userMissKey(moved) == key {
+		t.Fatal("user prefixes one position apart share a key")
+	}
+
+	toks := []int{5, 300, 7}
+	key = itemMissKey(0, toks)
+	if itemMissKey(0, []int{5, 300, 7}) != key {
+		t.Fatal("equal items got different keys")
+	}
+	if itemMissKey(0, []int{5, 301, 7}) == key {
+		t.Fatal("items one token apart share a key")
+	}
+	if itemMissKey(1, toks) == key {
+		t.Fatal("items anchored one position apart share a key")
+	}
+	if itemMissKey(0, []int{1, 23}) == itemMissKey(0, []int{12, 3}) {
+		t.Fatal("keys are not fixed-width: two token splits share a key")
 	}
 }

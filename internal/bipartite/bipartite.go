@@ -149,8 +149,29 @@ func maxItemLen(items [][]int) int {
 	return m
 }
 
+// newLayout returns an empty layout with room for tokens tokens in segments
+// segments, so building it never regrows a slice.
+func newLayout(kind PrefixKind, tokens, segments int) *Layout {
+	return &Layout{
+		Kind:     kind,
+		Tokens:   make([]int, 0, tokens),
+		Pos:      make([]int, 0, tokens),
+		Segments: make([]Segment, 0, segments),
+		seg:      make([]int, 0, tokens),
+	}
+}
+
+// promptLen returns the prompt's total token count.
+func (p Prompt) promptLen() int {
+	n := len(p.User) + len(p.Instr)
+	for _, it := range p.Items {
+		n += len(it)
+	}
+	return n
+}
+
 func buildUserPrefix(p Prompt) *Layout {
-	l := &Layout{Kind: UserPrefix}
+	l := newLayout(UserPrefix, p.promptLen(), len(p.Items)+2)
 	itemStart := len(p.User) // shared starting position for every item
 	l.addSegment(SegUser, -1, p.User, 0)
 	for i, it := range p.Items {
@@ -162,7 +183,7 @@ func buildUserPrefix(p Prompt) *Layout {
 }
 
 func buildItemPrefix(p Prompt) *Layout {
-	l := &Layout{Kind: ItemPrefix}
+	l := newLayout(ItemPrefix, p.promptLen(), len(p.Items)+2)
 	userStart := maxItemLen(p.Items) // items share starting position 0
 	for i, it := range p.Items {
 		l.addSegment(SegItem, i, it, 0)

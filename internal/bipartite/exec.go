@@ -129,27 +129,28 @@ func executeUserPrefix(w *model.Weights, l *Layout, userCache *model.KVCache, ca
 	run := &Run{Layout: l}
 	suffix := l.Tokens[l.PrefixLen:]
 	pos := l.Pos[l.PrefixLen:]
-	var ctx *model.KVCache
-	if userCache != nil {
-		if userCache.Len() != l.PrefixLen {
-			return nil, fmt.Errorf("bipartite: user cache covers %d tokens, layout prefix is %d", userCache.Len(), l.PrefixLen)
+	prefix := userCache
+	if prefix != nil {
+		if prefix.Len() != l.PrefixLen {
+			return nil, fmt.Errorf("bipartite: user cache covers %d tokens, layout prefix is %d", prefix.Len(), l.PrefixLen)
 		}
-		ctx = model.ConcatCachesReserve(len(suffix), userCache)
 		run.ReusedTokens = l.PrefixLen
 	} else {
-		ctx = model.NewKVCache(w.Config())
+		prefix = model.NewKVCache(w.Config())
 		if l.PrefixLen > 0 {
-			w.ForwardRows(l.Tokens[:l.PrefixLen], l.Pos[:l.PrefixLen], l.Mask(), ctx, nil)
+			w.ForwardRows(l.Tokens[:l.PrefixLen], l.Pos[:l.PrefixLen], l.Mask(), prefix, nil)
 			run.ComputedTokens += l.PrefixLen
-			run.NewUserCache = ctx.Clone()
+			run.NewUserCache = prefix
 		}
 	}
 	if err := checkCancel(cancel); err != nil {
-		ctx.Release()
 		return nil, err
 	}
+	// The suffix extends a view of the prefix (or shares its pages), so the
+	// prefix — cached or just computed — is neither copied nor written.
+	ctx := model.ConcatCachesReserve(len(suffix), prefix)
 	run.Hidden = w.ForwardRows(suffix, pos, l.Mask(), ctx, l.readoutRows())
-	ctx.Release() // reclaim arena pages; no-op for contiguous storage
+	ctx.Release() // return the tail to its pool, or pages to their arena
 	run.ComputedTokens += len(suffix)
 	run.Discriminant = run.Hidden.Row(run.Hidden.Rows - 1)
 	return run, nil
@@ -194,14 +195,14 @@ func executeItemPrefix(w *model.Weights, l *Layout, itemCaches map[int]*model.KV
 	if err := checkCancel(cancel); err != nil {
 		return nil, err
 	}
-	// Assemble the context once, with room for the suffix: copies for
+	// Assemble the context once, with room for the suffix: a view of
 	// contiguous caches, block sharing with copy-on-write for arena-backed
 	// ones — either way the stored caches stay untouched.
 	suffix := l.Tokens[l.PrefixLen:]
 	pos := l.Pos[l.PrefixLen:]
 	ctx := model.ConcatCachesReserve(len(suffix), parts...)
 	run.Hidden = w.ForwardRows(suffix, pos, l.Mask(), ctx, l.readoutRows())
-	ctx.Release() // reclaim arena pages; no-op for contiguous storage
+	ctx.Release() // return the tail to its pool, or pages to their arena
 	run.ComputedTokens += len(suffix)
 	run.Discriminant = run.Hidden.Row(run.Hidden.Rows - 1)
 	return run, nil

@@ -36,7 +36,8 @@ func BuildMultiDisc(kind PrefixKind, p Prompt) (*Layout, error) {
 	if len(p.Instr) != 1 {
 		return nil, fmt.Errorf("bipartite: multi-discriminant layouts need exactly one instruction token, got %d", len(p.Instr))
 	}
-	l := &Layout{Kind: kind}
+	// One discriminant token per candidate replaces the instruction.
+	l := newLayout(kind, p.promptLen()-1+len(p.Items), 2*len(p.Items)+1)
 	var discStart int
 	switch kind {
 	case UserPrefix:

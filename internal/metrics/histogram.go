@@ -17,9 +17,9 @@ import (
 // Bucket i (1 ≤ i < n-1) spans (lo·growth^(i-1), lo·growth^i]; bucket 0 is
 // [0, lo] and the last bucket is the overflow (everything past the hi bound).
 type Histogram struct {
-	lo        float64
-	growth    float64
-	invLogG   float64 // 1/ln(growth), so Add computes the index in O(1)
+	lo      float64
+	growth  float64
+	invLogG float64 // 1/ln(growth), so Add computes the index in O(1)
 	counts  []atomic.Uint64
 	count   atomic.Uint64
 	sumBits atomic.Uint64 // float64 bits, CAS-add

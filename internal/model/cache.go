@@ -15,7 +15,8 @@ import (
 // slices (NewKVCache) and fixed-size pages in a shared BlockArena
 // (BlockArena.NewKVCache) — the PagedAttention-compatible organization §5.1
 // prescribes for the cache workers, with copy-free sharing of block-aligned
-// prefixes.
+// prefixes. A context ConcatCaches assembles from contiguous caches is a
+// third, a view that reads them in place.
 type KVCache struct {
 	cfg   Config
 	store kvStore
@@ -99,9 +100,9 @@ func (c *KVCache) Truncate(n int) {
 	c.n = n
 }
 
-// Release returns paged storage to its arena. The cache must not be used
-// afterwards. Contiguous caches are garbage-collected as usual; Release is a
-// no-op for them.
+// Release returns paged storage to its arena, and a ConcatCaches view's tail
+// to its pool. The cache must not be used afterwards. Contiguous caches are
+// garbage-collected as usual; Release is a no-op for them.
 func (c *KVCache) Release() {
 	c.store.release()
 	c.n = 0
@@ -131,32 +132,49 @@ func (c *KVCache) CopyRange(lo, hi int) *KVCache {
 // ConcatCaches builds a new cache whose token axis is the concatenation of
 // the inputs, in order. All inputs must share an architecture. This is the
 // operation that assembles an Item-as-prefix context from independently
-// precomputed per-item caches. When every input lives in the same
-// BlockArena, block-aligned content is shared by reference instead of
-// copied — PagedAttention's prefix-sharing.
+// precomputed per-item caches, and a User-as-prefix context from a user's
+// cache. Nothing is copied in the common cases:
+//
+//   - When every input has contiguous storage, the result is a view: it reads
+//     the inputs in place and keeps the tokens appended to it in a tail of
+//     its own, drawn from a pool that Release returns it to.
+//   - When the first input lives in a BlockArena, the result is a new paged
+//     cache, and block-aligned content from that arena is shared by
+//     reference — PagedAttention's prefix-sharing.
+//
+// Other mixes are copied into contiguous storage. Either way the inputs are
+// never written, but a view reads them for as long as it lives: an input must
+// not be appended to, truncated, decoded into or released until the result
+// has been released (or dropped).
 func ConcatCaches(caches ...*KVCache) *KVCache { return ConcatCachesReserve(0, caches...) }
 
 // ConcatCachesReserve is ConcatCaches for a context about to be extended: the
-// result has room for extra more tokens, so contiguous storage is sized and
-// filled once and the forward pass that appends the suffix never regrows it.
+// result has room for extra more tokens, so the forward pass that appends the
+// suffix never regrows its storage.
 func ConcatCachesReserve(extra int, caches ...*KVCache) *KVCache {
 	if len(caches) == 0 {
 		panic("model: ConcatCaches needs at least one cache")
 	}
 	cfg := caches[0].cfg
+	total, flat := 0, true
+	for _, in := range caches {
+		if in.cfg.Name != cfg.Name || in.stride() != caches[0].stride() || in.cfg.Layers != cfg.Layers {
+			panic(fmt.Sprintf("model: ConcatCaches architecture mismatch: %s vs %s", in.cfg.Name, cfg.Name))
+		}
+		total += in.n
+		_, ok := in.store.(*flatStore)
+		flat = flat && ok
+	}
+	if flat {
+		return &KVCache{cfg: cfg, store: newViewStore(cfg, caches, extra), n: total}
+	}
 	var out *KVCache
 	if ps, ok := caches[0].store.(*pagedStore); ok {
 		out = ps.arena.NewKVCache()
 	} else {
 		out = NewKVCache(cfg)
 	}
-	room := extra
-	for _, in := range caches {
-		if in.cfg.Name != cfg.Name || in.stride() != out.stride() || in.cfg.Layers != cfg.Layers {
-			panic(fmt.Sprintf("model: ConcatCaches architecture mismatch: %s vs %s", in.cfg.Name, cfg.Name))
-		}
-		room += in.n
-	}
+	room := extra + total
 	for _, in := range caches {
 		room -= in.n
 		out.store.appendFrom(in.store, in.n, room)

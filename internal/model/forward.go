@@ -75,12 +75,29 @@ func (w *Weights) ForwardRows(tokens, pos []int, mask Mask, cache *KVCache, rows
 	// layer then runs like the others, with no gather.
 	pruned := !everyRow(rows, n)
 	base := cache.Len()
-	if fs, ok := cache.store.(*flatStore); ok {
-		fs.reserve(n) // keep per-token appends allocation-free
+	switch st := cache.store.(type) { // keep per-token appends allocation-free
+	case *flatStore:
+		st.reserve(n)
+	case *viewStore:
+		st.tail.reserve(n)
+	}
+
+	last := cfg.Layers - 1
+	queries := n // the most query rows any layer carries
+	if pruned && last == 0 {
+		queries = len(rows)
+	}
+	fb := fwdPool.Get().(*fwdBuf)
+	defer fwdPool.Put(fb)
+	s := fb.carve(cfg, n, queries, pruned)
+	// The working hidden states: pooled when the last layer gathers the read
+	// rows into a fresh result, else the result itself.
+	h := &fb.h
+	if !pruned {
+		h = tensor.NewMatrix(n, cfg.Hidden)
 	}
 
 	// Token (+ absolute position) embeddings.
-	h := tensor.NewMatrix(n, cfg.Hidden)
 	for i, tok := range tokens {
 		if tok < 0 || tok >= cfg.Vocab {
 			panic(fmt.Sprintf("model: token %d outside vocab %d", tok, cfg.Vocab))
@@ -95,12 +112,6 @@ func (w *Weights) ForwardRows(tokens, pos []int, mask Mask, cache *KVCache, rows
 		}
 	}
 
-	last := cfg.Layers - 1
-	queries := n // the most query rows any layer carries
-	if pruned && last == 0 {
-		queries = len(rows)
-	}
-	s := newScratch(cfg, n, queries)
 	vis := visPool.Get().(*visibility)
 	defer visPool.Put(vis)
 	if !pruned || last > 0 {
@@ -110,43 +121,44 @@ func (w *Weights) ForwardRows(tokens, pos []int, mask Mask, cache *KVCache, rows
 		lw := &w.layers[l]
 
 		// --- attention sublayer: every token's K/V enters the cache ---
-		rmsNormRows(s.normed, h, lw.attnNorm, cfg.eps())
-		tensor.MatMul(s.k, s.normed, lw.wk)
-		tensor.MatMul(s.v, s.normed, lw.wv)
-		w.ropeRows(s.k, cfg.KVHeads, pos)
+		rmsNormRows(&s.normed, h, lw.attnNorm, cfg.eps())
+		tensor.MatMul(&s.k, &s.normed, lw.wk)
+		tensor.MatMul(&s.v, &s.normed, lw.wv)
+		w.ropeRows(&s.k, cfg.KVHeads, pos)
 		for i := 0; i < n; i++ {
 			cache.appendToken(l, s.k.Row(i), s.v.Row(i))
 		}
 		// ...and only the rows read after the last layer go further in it.
-		qs, qIn, qPos := s, s.normed, pos
+		qs, qIn, qPos := s, &s.normed, pos
 		if l == last && pruned {
 			if len(rows) == 0 {
 				return tensor.NewMatrix(0, cfg.Hidden)
 			}
-			qs = s.head(len(rows))
+			qs = fb.head(len(rows))
 			// proj is free until the output projection: it holds the
 			// gathered query inputs.
-			qIn = gatherRows(qs.proj, s.normed, rows)
+			qIn = gatherRows(&qs.proj, &s.normed, rows)
 			h = gatherRows(tensor.NewMatrix(len(rows), cfg.Hidden), h, rows)
-			qPos = make([]int, len(rows))
-			for j, r := range rows {
-				qPos[j] = pos[r]
+			qPos = fb.pos[:0]
+			for _, r := range rows {
+				qPos = append(qPos, pos[r])
 			}
+			fb.pos = qPos
 			vis.lower(mask, base, n, rows)
 		}
-		tensor.MatMul(qs.q, qIn, lw.wq)
-		w.ropeRows(qs.q, cfg.Heads, qPos)
+		tensor.MatMul(&qs.q, qIn, lw.wq)
+		w.ropeRows(&qs.q, cfg.Heads, qPos)
 		w.attend(qs, cache, l, base, n, vis)
-		tensor.MatMul(qs.proj, qs.attnOut, lw.wo)
-		addRows(h, qs.proj)
+		tensor.MatMul(&qs.proj, &qs.attnOut, lw.wo)
+		addRows(h, &qs.proj)
 
 		// --- feed-forward sublayer (SwiGLU) ---
-		rmsNormRows(qs.normed, h, lw.ffnNorm, cfg.eps())
-		tensor.MatMul(qs.gate, qs.normed, lw.wGate)
-		tensor.MatMul(qs.up, qs.normed, lw.wUp)
-		swiGLURows(qs.gate, qs.up)
-		tensor.MatMul(qs.proj, qs.gate, lw.wDown)
-		addRows(h, qs.proj)
+		rmsNormRows(&qs.normed, h, lw.ffnNorm, cfg.eps())
+		tensor.MatMul(&qs.gate, &qs.normed, lw.wGate)
+		tensor.MatMul(&qs.up, &qs.normed, lw.wUp)
+		swiGLURows(&qs.gate, &qs.up)
+		tensor.MatMul(&qs.proj, &qs.gate, lw.wDown)
+		addRows(h, &qs.proj)
 	}
 
 	for i := 0; i < h.Rows; i++ {
@@ -178,42 +190,82 @@ func gatherRows(dst, src *tensor.Matrix, sel []int) *tensor.Matrix {
 	return dst
 }
 
-// scratch holds the per-call activation buffers, allocated once and reused
-// across every layer — the batched replacement for the seed engine's
-// per-token k/v allocations. The K/V side has a row per new token; the query
-// side (q through the FFN) a row per query the widest layer carries.
+// scratch holds one call's activation buffers, reused across every layer —
+// the batched replacement for the seed engine's per-token k/v allocations.
+// The K/V side has a row per new token; the query side (q through the FFN) a
+// row per query the widest layer carries.
 type scratch struct {
-	normed  *tensor.Matrix // n x Hidden
-	k, v    *tensor.Matrix // n x KVHeads*HeadDim
-	q       *tensor.Matrix // queries x Heads*HeadDim
-	attnOut *tensor.Matrix // queries x Heads*HeadDim
-	proj    *tensor.Matrix // queries x Hidden
-	gate    *tensor.Matrix // queries x FFNDim
-	up      *tensor.Matrix // queries x FFNDim
+	normed  tensor.Matrix // n x Hidden
+	k, v    tensor.Matrix // n x KVHeads*HeadDim
+	q       tensor.Matrix // queries x Heads*HeadDim
+	attnOut tensor.Matrix // queries x Heads*HeadDim
+	proj    tensor.Matrix // queries x Hidden
+	gate    tensor.Matrix // queries x FFNDim
+	up      tensor.Matrix // queries x FFNDim
 }
 
-func newScratch(cfg Config, n, queries int) *scratch {
+// fwdBuf is one ForwardRows call's working memory: a float slab that the
+// scratch buffers and the working hidden states are carved from, the gathered
+// query positions, and the matrix headers themselves. fwdPool recycles it, so
+// in steady state a forward pass allocates nothing in proportion to its
+// tokens except the cache growth and the result the caller owns.
+type fwdBuf struct {
+	slab    []float32
+	pos     []int
+	s, last scratch       // all rows; the pruned last layer's query rows
+	h       tensor.Matrix // n x Hidden, when the result is a gather of it
+}
+
+var fwdPool = sync.Pool{New: func() any { return new(fwdBuf) }}
+
+// carve lays the scratch set (plus the working hidden states when withH) over
+// the slab, growing it if this call is the largest yet. Every buffer is fully
+// written before it is read, so stale contents from an earlier call never
+// leak into a result.
+func (b *fwdBuf) carve(cfg Config, n, queries int, withH bool) *scratch {
 	qDim := cfg.Heads * cfg.HeadDim
 	kvDim := cfg.KVHeads * cfg.HeadDim
-	return &scratch{
-		normed:  tensor.NewMatrix(n, cfg.Hidden),
-		k:       tensor.NewMatrix(n, kvDim),
-		v:       tensor.NewMatrix(n, kvDim),
-		q:       tensor.NewMatrix(queries, qDim),
-		attnOut: tensor.NewMatrix(queries, qDim),
-		proj:    tensor.NewMatrix(queries, cfg.Hidden),
-		gate:    tensor.NewMatrix(queries, cfg.FFNDim),
-		up:      tensor.NewMatrix(queries, cfg.FFNDim),
+	size := n*(cfg.Hidden+2*kvDim) + queries*(2*qDim+cfg.Hidden+2*cfg.FFNDim)
+	if withH {
+		size += n * cfg.Hidden
 	}
+	if cap(b.slab) < size {
+		b.slab = make([]float32, size)
+	}
+	free := b.slab[:size]
+	take := func(m *tensor.Matrix, rows, cols int) {
+		*m = tensor.Matrix{Rows: rows, Cols: cols, Data: free[: rows*cols : rows*cols]}
+		free = free[rows*cols:]
+	}
+	s := &b.s
+	take(&s.normed, n, cfg.Hidden)
+	take(&s.k, n, kvDim)
+	take(&s.v, n, kvDim)
+	take(&s.q, queries, qDim)
+	take(&s.attnOut, queries, qDim)
+	take(&s.proj, queries, cfg.Hidden)
+	take(&s.gate, queries, cfg.FFNDim)
+	take(&s.up, queries, cfg.FFNDim)
+	if withH {
+		take(&b.h, n, cfg.Hidden)
+	}
+	return s
 }
 
 // head returns views of the query-side buffers' (and normed's) first m rows.
-func (s *scratch) head(m int) *scratch {
-	top := func(x *tensor.Matrix) *tensor.Matrix { return tensor.FromSlice(m, x.Cols, x.Data[:m*x.Cols]) }
-	return &scratch{
-		normed: top(s.normed), k: s.k, v: s.v,
-		q: top(s.q), attnOut: top(s.attnOut), proj: top(s.proj), gate: top(s.gate), up: top(s.up),
+func (b *fwdBuf) head(m int) *scratch {
+	top := func(dst, x *tensor.Matrix) {
+		*dst = tensor.Matrix{Rows: m, Cols: x.Cols, Data: x.Data[:m*x.Cols]}
 	}
+	s, t := &b.s, &b.last
+	top(&t.normed, &s.normed)
+	t.k, t.v = s.k, s.v
+	top(&t.q, &s.q)
+	top(&t.attnOut, &s.attnOut)
+	top(&t.proj, &s.proj)
+	top(&t.gate, &s.gate)
+	top(&t.up, &s.up)
+	return t
 }
 
 // rowBlock is the row granule for pool-parallel elementwise passes.
