@@ -64,16 +64,6 @@ func BenchmarkFig9Latency(b *testing.B)       { runArtifact(b, "fig9", benchOpts
 func BenchmarkFig10DatasetScale(b *testing.B) { runArtifact(b, "fig10", benchOpts()) }
 func BenchmarkFig11NodeScale(b *testing.B)    { runArtifact(b, "fig11", benchOpts()) }
 
-// Engine: the batched multi-core compute core, measured against the retained
-// token-at-a-time reference (see internal/model's Benchmark{Prefill,Decode}
-// for the kernel-level views).
-func BenchmarkEngine(b *testing.B) {
-	opts := benchOpts()
-	opts.Quick = true // the artifact itself times full prefills; keep b.N cheap
-	opts.Requests = 0
-	runArtifact(b, "engine", opts)
-}
-
 // Extensions: passing paper claims and design-knob ablations.
 func BenchmarkExtCandidateSweep(b *testing.B)   { runArtifact(b, "ext-candidates", benchOpts()) }
 func BenchmarkExtAlphaSweep(b *testing.B)       { runArtifact(b, "ext-alpha", benchOpts()) }

@@ -7,7 +7,8 @@
 //	batbench -run fig5,table4     # selected artifacts
 //	batbench -run fig9 -requests 8000 -seed 7
 //	batbench -list                 # available artifact IDs
-//	batbench -bench-json           # engine bench -> BENCH_engine.json
+//
+// Performance is measured by the benchmark under benchmark/, not here.
 package main
 
 import (
@@ -27,12 +28,6 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink every experiment for a fast smoke run")
 	format := flag.String("format", "text", "output format: text | markdown | csv")
 	list := flag.Bool("list", false, "list artifact IDs and exit")
-	benchJSON := flag.Bool("bench-json", false, "run the engine, serving, transfer, cluster, and partition benchmarks and write their -*-out JSON artifacts")
-	benchOut := flag.String("bench-out", "BENCH_engine.json", "engine benchmark output path for -bench-json")
-	servingBenchOut := flag.String("serving-bench-out", "BENCH_serving.json", "serving benchmark output path for -bench-json")
-	transferBenchOut := flag.String("transfer-bench-out", "BENCH_transfer.json", "transfer benchmark output path for -bench-json")
-	clusterBenchOut := flag.String("cluster-bench-out", "BENCH_cluster.json", "cluster routing benchmark output path for -bench-json")
-	partitionBenchOut := flag.String("partition-bench-out", "BENCH_partition.json", "capacity partition benchmark output path for -bench-json")
 	flag.Parse()
 
 	if *list {
@@ -42,80 +37,33 @@ func main() {
 		return
 	}
 
-	if *benchJSON {
-		opts := experiments.Options{Requests: *requests, Seed: *seed, Quick: *quick}
-		res, err := experiments.RunEngineBench(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "batbench: engine bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(res.Table().Format())
-		if err := experiments.WriteEngineBenchJSON(*benchOut, res); err != nil {
-			fmt.Fprintf(os.Stderr, "batbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *benchOut)
-		sres, err := experiments.RunServingBench(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "batbench: serving bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(sres.Table().Format())
-		if err := experiments.WriteServingBenchJSON(*servingBenchOut, sres); err != nil {
-			fmt.Fprintf(os.Stderr, "batbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *servingBenchOut)
-		tres, err := experiments.RunTransferBench(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "batbench: transfer bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(tres.Table().Format())
-		if err := experiments.WriteTransferBenchJSON(*transferBenchOut, tres); err != nil {
-			fmt.Fprintf(os.Stderr, "batbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *transferBenchOut)
-		cres, err := experiments.RunRouterBench(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "batbench: router bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(cres.Table().Format())
-		if err := experiments.WriteRouterBenchJSON(*clusterBenchOut, cres); err != nil {
-			fmt.Fprintf(os.Stderr, "batbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *clusterBenchOut)
-		pres, err := experiments.RunPartitionBench(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "batbench: partition bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(pres.Table().Format())
-		if err := experiments.WritePartitionBenchJSON(*partitionBenchOut, pres); err != nil {
-			fmt.Fprintf(os.Stderr, "batbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *partitionBenchOut)
-		return
+	// Check every argument before running anything: an artifact can take
+	// minutes, and a typo found after it would waste them.
+	switch *format {
+	case "text", "markdown", "csv":
+	default:
+		fmt.Fprintf(os.Stderr, "batbench: unknown format %q\n", *format)
+		os.Exit(2)
 	}
-
-	opts := experiments.Options{Requests: *requests, Seed: *seed, Quick: *quick}
 	ids := experiments.IDs()
 	if *run != "all" {
 		ids = strings.Split(*run, ",")
 	}
-	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		runner, ok := experiments.Lookup(id)
+	runners := make([]experiments.Runner, len(ids))
+	for i, id := range ids {
+		ids[i] = strings.TrimSpace(id)
+		runner, ok := experiments.Lookup(ids[i])
 		if !ok {
-			fmt.Fprintf(os.Stderr, "batbench: unknown artifact %q (try -list)\n", id)
+			fmt.Fprintf(os.Stderr, "batbench: unknown artifact %q (try -list)\n", ids[i])
 			os.Exit(2)
 		}
+		runners[i] = runner
+	}
+
+	opts := experiments.Options{Requests: *requests, Seed: *seed, Quick: *quick}
+	for i, id := range ids {
 		start := time.Now()
-		table, err := runner(opts)
+		table, err := runners[i](opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "batbench: %s: %v\n", id, err)
 			os.Exit(1)
@@ -125,12 +73,9 @@ func main() {
 			fmt.Println(table.Markdown())
 		case "csv":
 			fmt.Print(table.CSV())
-		case "text":
+		default:
 			fmt.Print(table.Format())
 			fmt.Printf("(%s in %.1fs)\n\n", id, time.Since(start).Seconds())
-		default:
-			fmt.Fprintf(os.Stderr, "batbench: unknown format %q\n", *format)
-			os.Exit(2)
 		}
 	}
 }

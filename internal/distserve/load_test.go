@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"testing"
 	"time"
 
+	"bat/internal/admission"
+	"bat/internal/ranking"
 	"bat/internal/routing"
 	"bat/internal/scheduler"
+	"bat/internal/workload"
 )
 
 // TestResidentKeysDoesNotPerturbEvictionOrder pins the Peek discipline of
@@ -216,5 +220,100 @@ func TestLoadSummaryReportsStoresWithinTTL(t *testing.T) {
 		if in != 1 {
 			t.Fatalf("user %d resident in %d cells, want exactly 1", u, in)
 		}
+	}
+}
+
+// TestAffinityRoutingBeatsRoundRobin is the routing tier's hit-rate claim:
+// two independent cells (each its own meta, workers and frontend) behind one
+// router, and the same seeded Zipf rank stream replayed once with the
+// cache-affinity pipeline and once with pure round-robin. Affinity keeps a
+// user on the cell that already holds their KV cache, so its aggregate token
+// hit rate must be strictly higher than spraying users across cells. The
+// client is sequential, stores are synchronous and the router polls only at
+// start-up, so both rates are identical run to run.
+func TestAffinityRoutingBeatsRoundRobin(t *testing.T) {
+	const users, items, requests = 64, 200, 200
+	ds, err := ranking.NewDataset(ranking.DatasetConfig{
+		Name: "affinity", Items: items, Users: users, Clusters: 4, LatentDim: 8,
+		HistoryMin: 16, HistoryMax: 48, ItemAttrTokens: 2,
+		ClusterNoise: 0.15, Candidates: 32, HardNegatives: 4, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hitRate := func(spec string) (float64, map[string]int64) {
+		var cells []*deployment
+		var fronts []string
+		for i := 0; i < 2; i++ {
+			c := newDeploymentCfg(t, 2, scheduler.StaticUser{}, func(cfg *FrontendConfig) {
+				cfg.Dataset = ds
+				// Synchronous stores: a user's cache is resident before the
+				// response returns, so the next request can hit it.
+				cfg.Transfer.StoreQueueDepth = -1
+				cfg.Admission = admission.Config{MaxInFlight: 8}
+				cfg.LoadSummaryTTL = -1
+			})
+			t.Cleanup(c.frontend.Close)
+			cells = append(cells, c)
+			fronts = append(fronts, c.front.URL)
+		}
+		scorers, err := routing.ParseScorers(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := routing.NewRouter(routing.RouterConfig{
+			Frontends:    fronts,
+			Scorers:      scorers,
+			Seed:         11,
+			Admission:    admission.Config{MaxInFlight: 8},
+			PollInterval: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		router := httptest.NewServer(r.Handler())
+		defer router.Close()
+
+		rng := rand.New(rand.NewSource(11))
+		zipf := workload.NewZipf(users, 1.2)
+		for i := 0; i < requests; i++ {
+			req := RankRequest{UserID: zipf.Rank(rng.Float64()) - 1, CandidateIDs: make([]int, 10)}
+			for j := range req.CandidateIDs {
+				req.CandidateIDs[j] = rng.Intn(items)
+			}
+			body, _ := json.Marshal(req)
+			resp, err := http.Post(router.URL+"/v1/rank", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			routing.DrainBody(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: rank status %d", spec, resp.StatusCode)
+			}
+		}
+		var reused, computed int64
+		for _, c := range cells {
+			st := c.frontend.Stats()
+			reused += st.ReusedTokens
+			computed += st.ComputedTokens
+		}
+		st := r.Stats()
+		if st.Failovers != 0 {
+			t.Fatalf("%s: %d failovers with healthy cells", spec, st.Failovers)
+		}
+		return float64(reused) / float64(reused+computed), st.Decisions
+	}
+
+	affinity, decisions := hitRate("cache-affinity:2,least-loaded:1,round-robin:0.25")
+	roundRobin, _ := hitRate("round-robin")
+	t.Logf("token hit rate: affinity %.4f vs round-robin %.4f (affinity decisions %v)",
+		affinity, roundRobin, decisions)
+	if affinity <= roundRobin {
+		t.Fatalf("cache-affinity hit rate %.4f not above round-robin %.4f", affinity, roundRobin)
+	}
+	if decisions["cache-affinity"] == 0 {
+		t.Fatalf("no cache-affinity decisions recorded: %v", decisions)
 	}
 }

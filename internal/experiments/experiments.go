@@ -162,22 +162,6 @@ func Registry() []struct {
 		{"fig9", Fig9LatencyCurve},
 		{"fig10", Fig10DatasetScale},
 		{"fig11", Fig11NodeScale},
-		// Engine micro-benchmark: the batched multi-core compute core the
-		// serving experiments run on (see enginebench.go).
-		{"engine", EngineBench},
-		// Serving-core benchmark: end-to-end continuous-batching throughput
-		// versus the serialized pipeline (see servingbench.go).
-		{"servingbench", ServingBench},
-		// Transfer-engine benchmark: BKV2 codec MB/s, streamed fetch latency,
-		// and delta-vs-full store bytes (see transferbench.go).
-		{"transferbench", TransferBench},
-		// Routing-tier benchmark: cache-affinity versus round-robin routing
-		// across two serving cells behind a live router (see routerbench.go).
-		{"routerbench", RouterBench},
-		// Capacity-partition benchmark: the adaptive user/item split
-		// controller versus static splits on a shifting workload (see
-		// partitionbench.go).
-		{"partitionbench", PartitionBench},
 		// Beyond the paper's evaluation section: passing claims and design
 		// knobs (see extensions.go).
 		{"ext-candidates", ExtCandidateSweep},

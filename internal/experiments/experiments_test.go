@@ -49,8 +49,7 @@ func cellFloat(t *testing.T, cell string) float64 {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig2a", "fig2b", "fig2c", "fig2d", "table1", "table2",
 		"fig4", "fig5", "fig6", "table3", "fig7", "fig8", "table4",
-		"fig9", "fig10", "fig11", "engine", "servingbench", "transferbench",
-		"routerbench", "partitionbench",
+		"fig9", "fig10", "fig11",
 		"ext-candidates", "ext-alpha", "ext-burst", "ext-tier", "ext-gpu", "ext-oracle"}
 	got := IDs()
 	if len(got) != len(want) {

@@ -122,7 +122,7 @@ func TinyGR(vocab int) Config {
 // BenchGR returns the engine-benchmark configuration: shaped like the
 // paper's models (GQA with a 4:1 head ratio, 4x FFN expansion, RoPE) but
 // sized so a 256-token prefill is tractable in pure Go. BenchmarkPrefill
-// and the BENCH_engine.json trajectory both run on it.
+// and BenchmarkDecode run on it.
 func BenchGR(vocab int) Config {
 	return Config{
 		Name: "BenchGR", Layers: 4, Heads: 8, KVHeads: 2, HeadDim: 32,

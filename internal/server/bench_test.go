@@ -17,8 +17,8 @@ import (
 // serving core at max-batch 1 (the serialized baseline: every request is its
 // own execution), 4, and 16, with a concurrent client pool deep enough to
 // keep the batch window fed. Rankings are bit-identical across sub-benchmarks
-// — only throughput moves. BENCH_serving.json carries the same comparison
-// via `batbench -bench-json`.
+// — only throughput moves. Batching end to end is metered by the benchmark's
+// local_burst_batch workload.
 func BenchmarkServeBatched(b *testing.B) {
 	ds, err := ranking.NewDataset(ranking.DatasetConfig{
 		Name: "bench", Items: 120, Users: 40, Clusters: 6, LatentDim: 8,
