@@ -32,7 +32,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "dataset seed")
 	precompute := flag.Bool("precompute", true, "precompute every item KV cache at startup")
 	posSensitive := flag.Bool("abs-pos", false, "serve the position-sensitive model variant")
-	pageTokens := flag.Int("page-tokens", 0, "PagedAttention block size; 0 = contiguous storage")
 	multiDisc := flag.Bool("multi-disc", false, "serve with one discriminant token per candidate")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long the first queued request waits for batchmates (negative = drain-only)")
 	maxBatch := flag.Int("max-batch", 8, "most requests packed into one bipartite execution (1 = serialized)")
@@ -59,7 +58,6 @@ func main() {
 		Dataset:         ds,
 		Variant:         variant,
 		PrecomputeItems: *precompute,
-		PageTokens:      *pageTokens,
 		MultiDisc:       *multiDisc,
 		BatchWindow:     *batchWindow,
 		WindowPolicy:    *windowPolicy,

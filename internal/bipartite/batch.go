@@ -161,17 +161,13 @@ func ExecuteBatchCancelable(w *model.Weights, items []BatchItem, cancels []func(
 	} else {
 		combined = model.NewKVCache(w.Config())
 	}
-	masks := make([]model.Mask, n)
+	masks := make([]layoutMask, n)
 	for _, i := range alive {
-		masks[i] = items[i].Layout.Mask()
+		masks[i] = layoutMask{items[i].Layout}
 	}
-	bm := batchMask{base: totalPrefix, owner: owner, masks: masks, prefRange: prefRange, sufRange: sufRange}
-	var mask model.Mask = bm
-	if ex := buildExactBatchMask(alive, bm); ex != nil {
-		mask = ex
-	}
+	mask := newBatchMask(totalPrefix, owner, masks, prefRange, sufRange)
 	hidden := w.ForwardRows(sufTokens, sufPos, mask, combined, readRows)
-	combined.Release() // return the tail to its pool, or pages to their arena
+	combined.Release() // return the tail to its pool
 
 	// Split the read rows back into per-item views (zero copy).
 	for _, i := range alive {
@@ -207,20 +203,16 @@ type missPlan struct {
 // missUnit is one unique prefix computation plus every batch slot waiting on
 // it. The first destination adopts the computed cache itself; later
 // destinations receive bit-identical clones, so downstream commit paths
-// (cache pools, arenas) still own one distinct object per admission and can
-// evict or adopt them independently.
+// (cache pools) still own one distinct object per admission and can evict
+// them independently.
 type missUnit struct {
 	user     bool
 	tokens   []int
 	pos      []int // user-prefix position IDs (item units derive theirs from posStart)
 	posStart int
 	mask     model.Mask // user-prefix misses forward under their layout mask
-	// full marks a unit whose mask allows every causal pair inside the unit
-	// (item units always; user units when the layout prefix is one segment),
-	// letting the packed miss forward use the exact-range attention path.
-	full  bool
-	cache *model.KVCache
-	dests []missDest
+	cache    *model.KVCache
+	dests    []missDest
 }
 
 // missDest routes one computed unit into a batch slot's bookkeeping.
@@ -269,7 +261,6 @@ func (p *missPlan) classifyPrefix(l *Layout, caches CacheSet, run *Run, item int
 		// forward.
 		p.add(userMissKey(l), missUnit{
 			user: true, tokens: l.Tokens[:l.PrefixLen], pos: l.Pos[:l.PrefixLen], mask: l.Mask(),
-			full: l.SegmentOf(0).Len == l.PrefixLen,
 		}, missDest{item: item, part: -1})
 		return make([]*model.KVCache, 1), nil
 	case ItemPrefix:
@@ -290,7 +281,7 @@ func (p *missPlan) classifyPrefix(l *Layout, caches CacheSet, run *Run, item int
 		for _, si := range missIdx {
 			seg := segs[si]
 			toks := l.Tokens[seg.Start : seg.Start+seg.Len]
-			p.add(itemMissKey(seg.PosStart, toks), missUnit{tokens: toks, posStart: seg.PosStart, full: true},
+			p.add(itemMissKey(seg.PosStart, toks), missUnit{tokens: toks, posStart: seg.PosStart},
 				missDest{item: item, part: si, slot: seg.Item})
 		}
 		return parts, nil
@@ -327,15 +318,24 @@ func (p *missPlan) computeAll(w *model.Weights) {
 		p.units[0].cache = p.units[0].compute(w)
 		return
 	}
+	tokens, pos, mask := p.pack()
+	combined := model.NewKVCache(w.Config())
+	w.ForwardRows(tokens, pos, mask, combined, nil) // K/V only
+	for ui, r := range mask.ranges {
+		p.units[ui].cache = combined.CopyRange(r[0], r[1])
+	}
+}
+
+// pack lays the units out back to back and returns their tokens, positions
+// and block-diagonal mask.
+func (p *missPlan) pack() (tokens, pos []int, mask unitsMask) {
 	total := 0
 	for _, u := range p.units {
 		total += len(u.tokens)
 	}
-	tokens := make([]int, 0, total)
-	pos := make([]int, 0, total)
-	owner := make([]int32, 0, total)
-	local := make([]int32, 0, total)
-	ranges := make([][2]int, len(p.units))
+	tokens = make([]int, 0, total)
+	pos = make([]int, 0, total)
+	mask = unitsMask{owner: make([]int32, 0, total), units: p.units, ranges: make([][2]int, len(p.units))}
 	for ui, u := range p.units {
 		start := len(tokens)
 		tokens = append(tokens, u.tokens...)
@@ -346,26 +346,12 @@ func (p *missPlan) computeAll(w *model.Weights) {
 				pos = append(pos, u.posStart+i)
 			}
 		}
-		for i := range u.tokens {
-			owner = append(owner, int32(ui))
-			local = append(local, int32(i))
+		for range u.tokens {
+			mask.owner = append(mask.owner, int32(ui))
 		}
-		ranges[ui] = [2]int{start, len(tokens)}
+		mask.ranges[ui] = [2]int{start, len(tokens)}
 	}
-	combined := model.NewKVCache(w.Config())
-	um := unitsMask{owner: owner, local: local, units: p.units, ranges: ranges}
-	var mask model.Mask = um
-	exact := true
-	for _, u := range p.units {
-		exact = exact && u.full
-	}
-	if exact {
-		mask = exactUnitsMask{um}
-	}
-	w.ForwardRows(tokens, pos, mask, combined, nil) // K/V only
-	for ui := range p.units {
-		p.units[ui].cache = combined.CopyRange(ranges[ui][0], ranges[ui][1])
-	}
+	return tokens, pos, mask
 }
 
 // unitsMask is the block-diagonal mask for the packed miss-unit forward. A
@@ -375,7 +361,6 @@ func (p *missPlan) computeAll(w *model.Weights) {
 // space restricted to one contiguous unit equals the unit's own causality).
 type unitsMask struct {
 	owner  []int32 // batched index -> unit index
-	local  []int32 // batched index -> index within the unit
 	units  []*missUnit
 	ranges [][2]int // per-unit contiguous batched-index blocks
 }
@@ -386,24 +371,17 @@ func (m unitsMask) Allowed(q, k int) bool {
 		return false
 	}
 	if u := m.units[o]; u.user {
-		return u.mask.Allowed(int(m.local[q]), int(m.local[k]))
+		lo := m.ranges[o][0]
+		return u.mask.Allowed(q-lo, k-lo)
 	}
 	return true
 }
 
-// KeyRanges implements model.KeyRanger: a query's visible keys all live in
-// its own unit's block (which contains q itself).
-func (m unitsMask) KeyRanges(q int, dst [][2]int) [][2]int {
-	return append(dst, m.ranges[m.owner[q]])
-}
-
-// exactUnitsMask is unitsMask for batches whose units are all full (every
-// causal pair inside a unit allowed): a query's exact visible keys are then
-// precisely its own unit's block, so attention needs no per-key mask calls.
-type exactUnitsMask struct{ unitsMask }
-
-// ExactKeyRanges implements model.ExactKeyRanger.
-func (m exactUnitsMask) ExactKeyRanges(q int, dst [][2]int) [][2]int {
+// ExactKeyRanges implements model.ExactKeyRanger: every causal pair inside a
+// unit is allowed — an item unit is plain causal, and a user unit is its
+// layout's one user segment, within which the layout mask allows every pair
+// — so a query's visible keys are precisely its own unit's block.
+func (m unitsMask) ExactKeyRanges(q int, dst [][2]int) [][2]int {
 	return append(dst, m.ranges[m.owner[q]])
 }
 
@@ -476,11 +454,43 @@ func writeKeyInt(b *strings.Builder, v int) {
 type batchMask struct {
 	base  int     // batched index of the first suffix token (= total prefix)
 	owner []int32 // suffix token (batched index - base) -> items index
-	masks []model.Mask
+	masks []layoutMask
 	// prefRange/sufRange are each item's contiguous batched-index key
-	// blocks, backing the model.KeyRanger fast path.
+	// blocks.
 	prefRange [][2]int
 	sufRange  [][2]int
+	// Every packed suffix query's exact visible keys, pretranslated into
+	// batched index space: query qi's are flat[off[qi]:off[qi+1]].
+	off  []int32
+	flat [][2]int
+}
+
+// newBatchMask precomputes each packed suffix query's exact ranges by
+// translating its item's own exact ranges into batched index space: the
+// layout-local range is split at the item's prefix length, the prefix piece
+// lands in the item's packed prefix block, the suffix piece in its packed
+// suffix block. Both blocks are contiguous and items are packed in order, so
+// translated ranges stay disjoint and ascending.
+func newBatchMask(base int, owner []int32, masks []layoutMask, prefRange, sufRange [][2]int) batchMask {
+	m := batchMask{base: base, owner: owner, masks: masks, prefRange: prefRange, sufRange: sufRange}
+	m.off = make([]int32, len(owner)+1)
+	m.flat = make([][2]int, 0, 3*len(owner))
+	var lr [][2]int
+	for qi, o := range owner {
+		pre, suf := prefRange[o], sufRange[o]
+		p := pre[1] - pre[0] // the item's layout prefix length
+		lr = masks[o].ExactKeyRanges(p+base+qi-suf[0], lr[:0])
+		for _, r := range lr {
+			if lo, hi := r[0], min(r[1], p); lo < hi {
+				m.flat = append(m.flat, [2]int{pre[0] + lo, pre[0] + hi})
+			}
+			if lo, hi := max(r[0], p), r[1]; lo < hi {
+				m.flat = append(m.flat, [2]int{suf[0] + lo - p, suf[0] + hi - p})
+			}
+		}
+		m.off[qi+1] = int32(len(m.flat))
+	}
+	return m
 }
 
 // local maps batched index k to item o's own layout index, and reports
@@ -506,68 +516,8 @@ func (m batchMask) Allowed(q, k int) bool {
 	return m.masks[o].Allowed(lq, lk)
 }
 
-// KeyRanges implements model.KeyRanger: a query's allowed keys all live in
-// its own item's prefix and suffix blocks, so the attention loop can skip
-// every other item's keys without per-key mask calls. The suffix block
-// contains q itself, satisfying the interface contract.
-func (m batchMask) KeyRanges(q int, dst [][2]int) [][2]int {
-	o := m.owner[q-m.base]
-	if r := m.prefRange[o]; r[0] < r[1] {
-		dst = append(dst, r)
-	}
-	return append(dst, m.sufRange[o])
-}
-
-// exactBatchMask layers model.ExactKeyRanger on batchMask: every packed
-// suffix query's exact visible key set, pretranslated into batched index
-// space once per batch. Attention then walks only truly visible keys — no
-// per-key mask calls, and none of the in-block-but-masked keys (other
-// candidates' tokens) that the superset KeyRanges path still scores as
-// NegInf, at every layer and head.
-type exactBatchMask struct {
-	batchMask
-	off  []int32 // per-suffix-query offsets into flat
-	flat [][2]int
-}
-
 // ExactKeyRanges implements model.ExactKeyRanger.
-func (m exactBatchMask) ExactKeyRanges(q int, dst [][2]int) [][2]int {
+func (m batchMask) ExactKeyRanges(q int, dst [][2]int) [][2]int {
 	qi := q - m.base
 	return append(dst, m.flat[m.off[qi]:m.off[qi+1]]...)
-}
-
-// buildExactBatchMask precomputes each packed suffix query's exact ranges by
-// translating its item's own exact ranges into batched index space: the
-// layout-local range is split at the item's prefix length, the prefix piece
-// lands in the item's packed prefix block, the suffix piece in its packed
-// suffix block. Both blocks are contiguous and items are packed in order, so
-// translated ranges stay disjoint and ascending. Returns nil when any item's
-// mask cannot enumerate exact ranges (the superset batchMask then applies).
-func buildExactBatchMask(alive []int, m batchMask) model.Mask {
-	ekrs := make([]model.ExactKeyRanger, len(m.masks))
-	for _, i := range alive {
-		e, ok := m.masks[i].(model.ExactKeyRanger)
-		if !ok {
-			return nil
-		}
-		ekrs[i] = e
-	}
-	off := make([]int32, len(m.owner)+1)
-	flat := make([][2]int, 0, 3*len(m.owner))
-	var lr [][2]int
-	for qi, o := range m.owner {
-		pre, suf := m.prefRange[o], m.sufRange[o]
-		p := pre[1] - pre[0] // the item's layout prefix length
-		lr = ekrs[o].ExactKeyRanges(p+m.base+qi-suf[0], lr[:0])
-		for _, r := range lr {
-			if lo, hi := r[0], min(r[1], p); lo < hi {
-				flat = append(flat, [2]int{pre[0] + lo, pre[0] + hi})
-			}
-			if lo, hi := max(r[0], p), r[1]; lo < hi {
-				flat = append(flat, [2]int{suf[0] + lo - p, suf[0] + hi - p})
-			}
-		}
-		off[qi+1] = int32(len(flat))
-	}
-	return exactBatchMask{batchMask: m, off: off, flat: flat}
 }

@@ -17,20 +17,14 @@ func ComputeItemCache(w *model.Weights, itemTokens []int) *model.KVCache {
 
 // ComputeItemCacheAt precomputes an item cache anchored at an arbitrary
 // start position — PIC serving anchors items at PICItemStart. The cache is
-// valid for any layout that assigns the item the same PosStart.
+// valid for any layout that assigns the item the same PosStart. A prefix is
+// wanted only for its K/V, so the forward reads no output rows.
 func ComputeItemCacheAt(w *model.Weights, itemTokens []int, startPos int) *model.KVCache {
-	return ComputeItemCacheInto(w, itemTokens, startPos, model.NewKVCache(w.Config()))
-}
-
-// ComputeItemCacheInto is ComputeItemCacheAt with caller-provided storage —
-// pass an arena-backed cache (BlockArena.NewKVCache) to precompute item
-// prefixes into shared pages. A prefix is wanted only for its K/V, so the
-// forward reads no output rows.
-func ComputeItemCacheInto(w *model.Weights, itemTokens []int, startPos int, cache *model.KVCache) *model.KVCache {
 	pos := make([]int, len(itemTokens))
 	for i := range pos {
 		pos[i] = startPos + i
 	}
+	cache := model.NewKVCache(w.Config())
 	w.ForwardRows(itemTokens, pos, nil, cache, nil)
 	return cache
 }
@@ -146,11 +140,11 @@ func executeUserPrefix(w *model.Weights, l *Layout, userCache *model.KVCache, ca
 	if err := checkCancel(cancel); err != nil {
 		return nil, err
 	}
-	// The suffix extends a view of the prefix (or shares its pages), so the
-	// prefix — cached or just computed — is neither copied nor written.
+	// The suffix extends a view of the prefix, so the prefix — cached or just
+	// computed — is neither copied nor written.
 	ctx := model.ConcatCachesReserve(len(suffix), prefix)
 	run.Hidden = w.ForwardRows(suffix, pos, l.Mask(), ctx, l.readoutRows())
-	ctx.Release() // return the tail to its pool, or pages to their arena
+	ctx.Release() // return the tail to its pool
 	run.ComputedTokens += len(suffix)
 	run.Discriminant = run.Hidden.Row(run.Hidden.Rows - 1)
 	return run, nil
@@ -195,14 +189,13 @@ func executeItemPrefix(w *model.Weights, l *Layout, itemCaches map[int]*model.KV
 	if err := checkCancel(cancel); err != nil {
 		return nil, err
 	}
-	// Assemble the context once, with room for the suffix: a view of
-	// contiguous caches, block sharing with copy-on-write for arena-backed
-	// ones — either way the stored caches stay untouched.
+	// Assemble the context once, with room for the suffix: a view of the
+	// caches, which stay untouched.
 	suffix := l.Tokens[l.PrefixLen:]
 	pos := l.Pos[l.PrefixLen:]
 	ctx := model.ConcatCachesReserve(len(suffix), parts...)
 	run.Hidden = w.ForwardRows(suffix, pos, l.Mask(), ctx, l.readoutRows())
-	ctx.Release() // return the tail to its pool, or pages to their arena
+	ctx.Release() // return the tail to its pool
 	run.ComputedTokens += len(suffix)
 	run.Discriminant = run.Hidden.Row(run.Hidden.Rows - 1)
 	return run, nil

@@ -179,63 +179,3 @@ func TestPropertyHSTUSharesInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestArenaBackedServing: precompute item caches into a shared BlockArena,
-// serve many requests against them, and verify (a) results match flat
-// storage exactly and (b) the arena reaches a steady state instead of
-// growing per request — Execute releases each assembled context.
-func TestArenaBackedServing(t *testing.T) {
-	w := testWeights()
-	arena, err := model.NewBlockArena(w.Config(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(77))
-	p := testPrompt(rng, 6, 5, 4, 2) // items exactly one block long
-
-	// Offline: per-item caches in the arena.
-	l, err := Build(ItemPrefix, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	caches := map[int]*model.KVCache{}
-	for _, seg := range l.ItemSegments() {
-		caches[seg.Item] = ComputeItemCacheInto(
-			w, l.Tokens[seg.Start:seg.Start+seg.Len], 0, arena.NewKVCache())
-	}
-
-	flatRef, err := Execute(w, l, CacheSet{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var grown int
-	for r := 0; r < 8; r++ {
-		before := arena.Stats().BlocksAllocated
-		run, err := Execute(w, l, CacheSet{Items: caches})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := tensor.MaxAbsDiff(run.Discriminant, flatRef.Discriminant); d != 0 {
-			t.Fatalf("request %d deviates by %v", r, d)
-		}
-		if run.ReusedTokens != l.PrefixLen {
-			t.Fatalf("request %d reused %d of %d", r, run.ReusedTokens, l.PrefixLen)
-		}
-		if r > 1 && arena.Stats().BlocksAllocated > before {
-			grown++
-		}
-	}
-	if grown > 0 {
-		t.Fatalf("arena grew on %d steady-state requests; contexts are leaking pages", grown)
-	}
-	if arena.Stats().ShareEvents == 0 {
-		t.Fatal("no block sharing happened")
-	}
-	// Stored item caches remain intact and reusable.
-	for i, c := range caches {
-		if c.Len() != 4 {
-			t.Fatalf("item %d cache disturbed: %d tokens", i, c.Len())
-		}
-	}
-}

@@ -133,9 +133,8 @@ func TestRunHiddenIsReadoutRows(t *testing.T) {
 }
 
 // TestPackedMissCachesMatchFullForward pins the K/V-only miss recompute: the
-// packed unit forward, under both the exact-range unitsMask and its superset
-// form, leaves every unit a cache byte-identical to the one a full-row
-// Forward of that prefix alone leaves.
+// packed unit forward leaves every unit a cache byte-identical to the one a
+// full-row Forward of that prefix alone leaves.
 func TestPackedMissCachesMatchFullForward(t *testing.T) {
 	w := testWeights()
 	rng := rand.New(rand.NewSource(22))
@@ -167,15 +166,10 @@ func TestPackedMissCachesMatchFullForward(t *testing.T) {
 		}
 		want[ui] = cacheBytes(t, c)
 	}
-	for _, exact := range []bool{true, false} {
-		for _, u := range plan.units {
-			u.full, u.cache = exact, nil
-		}
-		plan.computeAll(w)
-		for ui, u := range plan.units {
-			if !bytes.Equal(cacheBytes(t, u.cache), want[ui]) {
-				t.Fatalf("exact=%v: unit %d (user=%v) cache differs from a full-row forward", exact, ui, u.user)
-			}
+	plan.computeAll(w)
+	for ui, u := range plan.units {
+		if !bytes.Equal(cacheBytes(t, u.cache), want[ui]) {
+			t.Fatalf("unit %d (user=%v) cache differs from a full-row forward", ui, u.user)
 		}
 	}
 	// A lone unit takes the solo path.

@@ -1,9 +1,6 @@
 package model
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // KVCache stores per-layer key/value vectors for a processed token prefix.
 // Keys carry their rotary position embedding, so a cache entry is only valid
@@ -11,12 +8,9 @@ import (
 // cached tokens — the invariant Bipartite Attention's shared-start position
 // design exists to satisfy.
 //
-// Two storage backends exist behind the same type: contiguous per-layer
-// slices (NewKVCache) and fixed-size pages in a shared BlockArena
-// (BlockArena.NewKVCache) — the PagedAttention-compatible organization §5.1
-// prescribes for the cache workers, with copy-free sharing of block-aligned
-// prefixes. A context ConcatCaches assembles from contiguous caches is a
-// third, a view that reads them in place.
+// Storage is contiguous per-layer slices (NewKVCache), or, for a context
+// ConcatCaches assembles, a view that reads its inputs in place and keeps
+// the tokens appended to it in a contiguous tail of its own.
 type KVCache struct {
 	cfg   Config
 	store kvStore
@@ -30,16 +24,12 @@ type kvStore interface {
 	appendToken(layer int, k, v []float32)
 	// rows returns the layer's key and value rows from token t to the end of
 	// the contiguous run that holds it (the whole slab for flat storage, the
-	// rest of t's page for paged storage): token t+j's row starts at
-	// j*stride. Attention indexes the slabs directly, so storage dispatch
-	// costs one call per run instead of two per key.
+	// rest of t's input for a view): token t+j's row starts at j*stride.
+	// Attention indexes the slabs directly, so storage dispatch costs one
+	// call per run instead of two per key.
 	rows(layer, t int) (k, v []float32)
 	truncate(n int)
 	clone() kvStore
-	// appendFrom bulk-appends tokens tokens from src (sharing storage when
-	// the backend can). room is how many more tokens the caller will append
-	// afterwards, for backends that can size their storage once.
-	appendFrom(src kvStore, tokens, room int)
 	// layerData returns contiguous copies (or views) of layer l's keys and
 	// values covering n tokens, for serialization.
 	layerData(l, n int) (k, v []float32)
@@ -83,8 +73,7 @@ func (c *KVCache) appendToken(layer int, k, v []float32) {
 	}
 }
 
-// Clone returns a deep copy of the cache (paged clones share blocks
-// copy-on-write where possible).
+// Clone returns a deep copy of the cache in contiguous storage.
 func (c *KVCache) Clone() *KVCache {
 	return &KVCache{cfg: c.cfg, store: c.store.clone(), n: c.n}
 }
@@ -100,9 +89,9 @@ func (c *KVCache) Truncate(n int) {
 	c.n = n
 }
 
-// Release returns paged storage to its arena, and a ConcatCaches view's tail
-// to its pool. The cache must not be used afterwards. Contiguous caches are
-// garbage-collected as usual; Release is a no-op for them.
+// Release returns a ConcatCaches view's tail to its pool. The cache must not
+// be used afterwards. Contiguous caches are garbage-collected as usual;
+// Release is a no-op for them.
 func (c *KVCache) Release() {
 	c.store.release()
 	c.n = 0
@@ -133,19 +122,12 @@ func (c *KVCache) CopyRange(lo, hi int) *KVCache {
 // the inputs, in order. All inputs must share an architecture. This is the
 // operation that assembles an Item-as-prefix context from independently
 // precomputed per-item caches, and a User-as-prefix context from a user's
-// cache. Nothing is copied in the common cases:
-//
-//   - When every input has contiguous storage, the result is a view: it reads
-//     the inputs in place and keeps the tokens appended to it in a tail of
-//     its own, drawn from a pool that Release returns it to.
-//   - When the first input lives in a BlockArena, the result is a new paged
-//     cache, and block-aligned content from that arena is shared by
-//     reference — PagedAttention's prefix-sharing.
-//
-// Other mixes are copied into contiguous storage. Either way the inputs are
-// never written, but a view reads them for as long as it lives: an input must
-// not be appended to, truncated, decoded into or released until the result
-// has been released (or dropped).
+// cache. Nothing is copied: the result is a view that reads the inputs in
+// place (a view input contributes its own inputs and its tail) and keeps the
+// tokens appended to it in a tail of its own, drawn from a pool that Release
+// returns it to. The inputs are never written, but the view reads them for
+// as long as it lives: an input must not be appended to, truncated, decoded
+// into or released until the result has been released (or dropped).
 func ConcatCaches(caches ...*KVCache) *KVCache { return ConcatCachesReserve(0, caches...) }
 
 // ConcatCachesReserve is ConcatCaches for a context about to be extended: the
@@ -156,31 +138,14 @@ func ConcatCachesReserve(extra int, caches ...*KVCache) *KVCache {
 		panic("model: ConcatCaches needs at least one cache")
 	}
 	cfg := caches[0].cfg
-	total, flat := 0, true
+	total := 0
 	for _, in := range caches {
 		if in.cfg.Name != cfg.Name || in.stride() != caches[0].stride() || in.cfg.Layers != cfg.Layers {
 			panic(fmt.Sprintf("model: ConcatCaches architecture mismatch: %s vs %s", in.cfg.Name, cfg.Name))
 		}
 		total += in.n
-		_, ok := in.store.(*flatStore)
-		flat = flat && ok
 	}
-	if flat {
-		return &KVCache{cfg: cfg, store: newViewStore(cfg, caches, extra), n: total}
-	}
-	var out *KVCache
-	if ps, ok := caches[0].store.(*pagedStore); ok {
-		out = ps.arena.NewKVCache()
-	} else {
-		out = NewKVCache(cfg)
-	}
-	room := extra + total
-	for _, in := range caches {
-		room -= in.n
-		out.store.appendFrom(in.store, in.n, room)
-		out.n += in.n
-	}
-	return out
+	return &KVCache{cfg: cfg, store: newViewStore(cfg, caches, extra), n: total}
 }
 
 // flatStore is the contiguous backend: one slice per layer.
@@ -244,27 +209,6 @@ func (s *flatStore) clone() kvStore {
 		out.v[l] = append([]float32(nil), s.v[l]...)
 	}
 	return out
-}
-
-func (s *flatStore) appendFrom(src kvStore, tokens, room int) {
-	room *= s.stride()
-	for l := 0; l < s.cfg.Layers; l++ {
-		k, v := src.layerData(l, tokens)
-		s.k[l] = appendWithRoom(s.k[l], k, room)
-		s.v[l] = appendWithRoom(s.v[l], v, room)
-	}
-}
-
-// appendWithRoom appends src to dst, and when dst is still empty allocates
-// room more elements of capacity in the same step. It does so by growing a
-// capacity-clamped view of src: the runtime then moves src into the new
-// array and zero-fills only the spare capacity, where make-then-copy would
-// zero-fill all of it first.
-func appendWithRoom(dst, src []float32, room int) []float32 {
-	if len(dst) == 0 && room > 0 && cap(dst) < len(src)+room {
-		return slices.Grow(src[:len(src):len(src)], room)
-	}
-	return append(dst, src...)
 }
 
 func (s *flatStore) layerData(l, n int) (k, v []float32) {

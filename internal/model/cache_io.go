@@ -252,7 +252,7 @@ func (c *KVCache) UnmarshalBinary(data []byte) error {
 		}
 	}
 	// Fully validated: decoding below cannot fail. Decoded payloads land in
-	// contiguous storage; arena-backed receivers release their pages first.
+	// contiguous storage; a view receiver returns its tail to its pool first.
 	fs, ok := c.store.(*flatStore)
 	if !ok {
 		c.store.release()

@@ -47,22 +47,24 @@ func (m exactMask) ExactKeyRanges(q int, dst [][2]int) [][2]int {
 	return append(dst, runs...)
 }
 
-// maskForms returns one mask function in the three forms the engine lowers:
-// plain (every causal key asked), KeyRanger-only (a loose superset range,
-// Allowed filtering inside it), and exact.
+// maskForms returns one mask function in the two forms the engine lowers:
+// plain (every causal key asked) and exact.
 func maskForms(allowed func(q, k int) bool) map[string]Mask {
 	return map[string]Mask{
 		"plain": MaskFunc(allowed),
-		"ranged": rangedMask{allowed: allowed, ranges: func(q int) [][2]int {
-			runs := visibleRuns(allowed, q)
-			if len(runs) == 1 {
-				return [][2]int{{max(runs[0][0]-2, 0), q + 3}}
-			}
-			// Two superset ranges with a masked gap, both wider than the runs.
-			return [][2]int{{0, runs[0][1] + 1}, {max(runs[1][0]-1, runs[0][1]+1), q + 1}}
-		}},
 		"exact": exactMask(allowed),
 	}
+}
+
+// partedContext rebuilds c as the view ConcatCaches assembles from copies of
+// its tokens in parts of the given size, with room for extra more tokens:
+// attention ranges over it straddle the parts' boundaries.
+func partedContext(c *KVCache, part, extra int) *KVCache {
+	var parts []*KVCache
+	for lo := 0; lo < c.Len(); lo += part {
+		parts = append(parts, c.CopyRange(lo, min(lo+part, c.Len())))
+	}
+	return ConcatCachesReserve(extra, parts...)
 }
 
 // kernelConfigs covers the head layouts and weight functions the tiled
@@ -79,10 +81,10 @@ func kernelConfigs() []Config {
 // TestAttendTilesAndStoresBitExact drives the range-fed attention kernels
 // across every tile edge: windows of 1-7 keys ending at the query (range
 // lengths 0-3 mod the tile, starting at every alignment) behind an optional
-// 3-key global prefix (a second range), in each lowered mask form, over flat
-// storage and over pages of 3 and 4 tokens whose boundaries the ranges
-// straddle, with and without a cached prefix. All must equal the reference
-// engine bit for bit.
+// 3-key global prefix (a second range), in each lowered mask form, with no
+// cache and over a cached prefix — contiguous, or a view ConcatCaches
+// assembles from parts of 3 or 4 tokens whose boundaries the ranges
+// straddle. All must equal the reference engine bit for bit.
 func TestAttendTilesAndStoresBitExact(t *testing.T) {
 	const n, split = 21, 10
 	for _, cfg := range kernelConfigs() {
@@ -94,25 +96,21 @@ func TestAttendTilesAndStoresBitExact(t *testing.T) {
 				allowed := func(q, k int) bool { return k < global || k > q-window }
 				want := w.ForwardReference(toks, pos, MaskFunc(allowed), NewKVCache(cfg))
 				for form, mask := range maskForms(allowed) {
-					for _, page := range []int{0, 3, 4} {
-						newCache := func() *KVCache { return NewKVCache(cfg) }
-						if page > 0 {
-							arena, err := NewBlockArena(cfg, page)
-							if err != nil {
-								t.Fatal(err)
-							}
-							newCache = arena.NewKVCache
-						}
-						name := fmt.Sprintf("%s global=%d window=%d %s page=%d", cfg.Name, global, window, form, page)
-						if got := w.Forward(toks, pos, mask, newCache()); !sameBits(got.Data, want.Data) {
-							t.Fatalf("%s: deviates from reference by %v", name, tensor.MaxAbsDiff(got.Data, want.Data))
-						}
-						cache := newCache()
+					name := fmt.Sprintf("%s global=%d window=%d %s", cfg.Name, global, window, form)
+					if got := w.Forward(toks, pos, mask, NewKVCache(cfg)); !sameBits(got.Data, want.Data) {
+						t.Fatalf("%s: deviates from reference by %v", name, tensor.MaxAbsDiff(got.Data, want.Data))
+					}
+					for _, part := range []int{0, 3, 4} {
+						cache := NewKVCache(cfg)
 						got := append([]float32(nil), w.Forward(toks[:split], pos[:split], mask, cache).Data...)
+						if part > 0 {
+							cache = partedContext(cache, part, n-split)
+						}
 						got = append(got, w.Forward(toks[split:], pos[split:], mask, cache).Data...)
 						if !sameBits(got, want.Data) {
-							t.Fatalf("%s over a cached prefix: deviates from reference by %v", name, tensor.MaxAbsDiff(got, want.Data))
+							t.Fatalf("%s over a cached prefix in parts of %d: deviates from reference by %v", name, part, tensor.MaxAbsDiff(got, want.Data))
 						}
+						cache.Release()
 					}
 				}
 			}

@@ -365,49 +365,3 @@ func BenchmarkForwardSuffixWithPrefix(b *testing.B) {
 		w.Forward(toks[224:], pos[224:], nil, c)
 	}
 }
-
-// rangedMask pairs a block-diagonal MaskFunc with advertised key ranges, the
-// way a packed multi-request mask does.
-type rangedMask struct {
-	allowed func(q, k int) bool
-	ranges  func(q int) [][2]int
-}
-
-func (m rangedMask) Allowed(q, k int) bool { return m.allowed(q, k) }
-func (m rangedMask) KeyRanges(q int, dst [][2]int) [][2]int {
-	return append(dst, m.ranges(q)...)
-}
-
-// TestKeyRangerFastPathBitIdentical: advertising key ranges must change
-// nothing but the scan cost — the hidden states are bit-identical to the
-// same mask served through per-key Allowed calls alone.
-func TestKeyRangerFastPathBitIdentical(t *testing.T) {
-	w := tinyWeights(t, 64)
-	rng := rand.New(rand.NewSource(21))
-	const n, block = 24, 6
-	toks := randTokens(rng, n, 64)
-	pos := seqPos(n)
-
-	// Block-diagonal with a shared global prefix of 3 tokens: every query
-	// sees tokens 0-2 plus its own block — two disjoint ranges per query.
-	allowed := func(q, k int) bool {
-		return k < 3 || k/block == q/block
-	}
-	plain := MaskFunc(allowed)
-	ranged := rangedMask{
-		allowed: allowed,
-		ranges: func(q int) [][2]int {
-			b := q / block
-			if b == 0 {
-				return [][2]int{{0, block}}
-			}
-			return [][2]int{{0, 3}, {b * block, (b + 1) * block}}
-		},
-	}
-
-	want := w.Forward(toks, pos, plain, NewKVCache(w.Config()))
-	got := w.Forward(toks, pos, ranged, NewKVCache(w.Config()))
-	if d := tensor.MaxAbsDiff(want.Data, got.Data); d != 0 {
-		t.Fatalf("KeyRanger fast path diverged from Allowed-only mask: max abs diff %g", d)
-	}
-}

@@ -11,10 +11,11 @@ import (
 
 // TestForwardRowsBitExact pins the row-pruned forward: for every config in
 // the engine matrix plus the served one-layer shape, every lowered mask form,
-// and flat and paged stores, ForwardRows over a cached prefix returns exactly
-// Forward's and ForwardReference's rows for the rows asked for — none (nil or
-// empty), the last, a scattered list with a repeat, and all — and leaves a
-// cache whose bytes equal the one Forward leaves.
+// and a cached prefix held contiguously or as a view of 3- or 4-token parts,
+// ForwardRows over that prefix returns exactly Forward's and
+// ForwardReference's rows for the rows asked for — none (nil or empty), the
+// last, a scattered list with a repeat, and all — and leaves a cache whose
+// bytes equal the one Forward leaves.
 func TestForwardRowsBitExact(t *testing.T) {
 	const n, split = 32, 11
 	segmented := func(q, k int) bool {
@@ -42,26 +43,18 @@ func TestForwardRowsBitExact(t *testing.T) {
 		masks["causal"] = nil
 		for form, mask := range masks {
 			want := w.ForwardReference(toks, pos, mask, NewKVCache(cfg))
-			for _, page := range []int{0, 4} {
-				newCache := func() *KVCache { return NewKVCache(cfg) }
-				if page > 0 {
-					arena, err := NewBlockArena(cfg, page)
-					if err != nil {
-						t.Fatal(err)
-					}
-					newCache = arena.NewKVCache
-				}
-				prefixed := func() *KVCache {
-					c := newCache()
-					w.Forward(toks[:split], pos[:split], mask, c)
-					return c
-				}
-				fullCache := prefixed()
-				full := w.Forward(toks[split:], pos[split:], mask, fullCache)
-				wantBytes := marshalCache(t, fullCache)
+			fullCache := NewKVCache(cfg)
+			w.Forward(toks[:split], pos[:split], mask, fullCache)
+			full := w.Forward(toks[split:], pos[split:], mask, fullCache)
+			wantBytes := marshalCache(t, fullCache)
+			for _, part := range []int{0, 3, 4} {
 				for set, rows := range rowSets {
-					name := fmt.Sprintf("%s %s page=%d rows=%s", cfg.Name, form, page, set)
-					cache := prefixed()
+					name := fmt.Sprintf("%s %s part=%d rows=%s", cfg.Name, form, part, set)
+					cache := NewKVCache(cfg)
+					w.Forward(toks[:split], pos[:split], mask, cache)
+					if part > 0 {
+						cache = partedContext(cache, part, n-split)
+					}
 					got := w.ForwardRows(toks[split:], pos[split:], mask, cache, rows)
 					if got.Rows != len(rows) || got.Cols != cfg.Hidden {
 						t.Fatalf("%s: got %dx%d, want %dx%d", name, got.Rows, got.Cols, len(rows), cfg.Hidden)
@@ -77,6 +70,7 @@ func TestForwardRowsBitExact(t *testing.T) {
 					if !bytes.Equal(marshalCache(t, cache), wantBytes) {
 						t.Fatalf("%s: cache bytes differ from Forward's", name)
 					}
+					cache.Release()
 				}
 			}
 		}

@@ -2,14 +2,14 @@ package model
 
 import "sync"
 
-// viewStore is the context ConcatCaches assembles from contiguous caches
-// without copying them: the inputs are read in place, and the tokens a
-// forward pass appends land in an owned tail. Attention reads a view as it
-// reads a flatStore, one rows call per contiguous run, so what not copying
-// costs is finding the input that holds a run's first token.
+// viewStore is the context ConcatCaches assembles without copying its inputs:
+// they are read in place, and the tokens a forward pass appends land in an
+// owned tail. Attention reads a view as it reads a flatStore, one rows call
+// per contiguous run, so what not copying costs is finding the input that
+// holds a run's first token.
 type viewStore struct {
 	stride int
-	parts  []viewPart // the non-empty inputs, in token order
+	parts  []viewPart // the non-empty contiguous inputs, in token order
 	base   int        // tokens in parts; the tail holds tokens base, base+1, ...
 	tail   *flatStore // nil once released
 }
@@ -28,9 +28,15 @@ var tailPool = sync.Pool{New: func() any { return new(flatStore) }}
 func newViewStore(cfg Config, caches []*KVCache, extra int) *viewStore {
 	s := &viewStore{stride: cfg.KVHeads * cfg.HeadDim, parts: make([]viewPart, 0, len(caches))}
 	for _, in := range caches {
-		if in.n > 0 {
-			s.parts = append(s.parts, viewPart{src: in.store.(*flatStore), start: s.base, n: in.n})
-			s.base += in.n
+		switch st := in.store.(type) {
+		case *flatStore:
+			s.add(st, in.n)
+		case *viewStore:
+			// A view input is spliced in as its own inputs plus its tail.
+			for _, p := range st.parts {
+				s.add(p.src, p.n)
+			}
+			s.add(st.tail, in.n-st.base)
 		}
 	}
 	s.tail = tailPool.Get().(*flatStore)
@@ -40,6 +46,14 @@ func newViewStore(cfg Config, caches []*KVCache, extra int) *viewStore {
 	s.tail.cfg = cfg
 	s.tail.reserve(extra)
 	return s
+}
+
+// add appends src's first n tokens to the view as its next part.
+func (s *viewStore) add(src *flatStore, n int) {
+	if n > 0 {
+		s.parts = append(s.parts, viewPart{src: src, start: s.base, n: n})
+		s.base += n
+	}
 }
 
 func (s *viewStore) appendToken(layer int, k, v []float32) { s.tail.appendToken(layer, k, v) }
@@ -89,8 +103,6 @@ func (s *viewStore) clone() kvStore {
 	}
 	return out
 }
-
-func (s *viewStore) appendFrom(src kvStore, tokens, room int) { s.tail.appendFrom(src, tokens, room) }
 
 // layerData copies layer l's first n tokens into fresh contiguous slices.
 func (s *viewStore) layerData(l, n int) (k, v []float32) {

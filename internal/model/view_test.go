@@ -14,30 +14,31 @@ import (
 // input's K/V copied, in order, into one contiguous cache.
 func copiedContext(cfg Config, inputs []*KVCache) *KVCache {
 	out := NewKVCache(cfg)
+	fs := out.store.(*flatStore)
 	for _, in := range inputs {
-		out.store.appendFrom(in.store, in.n, 0)
+		for l := range fs.k {
+			k, v := in.store.layerData(l, in.n)
+			fs.k[l] = append(fs.k[l], k...)
+			fs.v[l] = append(fs.v[l], v...)
+		}
 		out.n += in.n
 	}
 	return out
 }
 
 // viewInputs builds the context shapes the executors assemble: one user
-// prefix; nine item prefixes with an empty cache among them; pages of one
-// arena, which keep their block-sharing path; and contiguous caches around a
-// paged one, which are copied.
+// prefix; nine item prefixes with an empty cache among them; and views, with
+// tokens in their tails, as inputs on their own and between contiguous
+// caches, which a context splices in as their parts plus their tails.
 func viewInputs(t *testing.T, w *Weights, rng *rand.Rand) map[string][]*KVCache {
 	t.Helper()
 	cfg := w.Config()
-	arena, err := NewBlockArena(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fill := func(c *KVCache, n int) *KVCache {
-		w.ForwardRows(randTokens(rng, n, cfg.Vocab), seqPos(n), nil, c, nil)
+		w.ForwardRows(randTokens(rng, n, cfg.Vocab), seqPos(c.Len() + n)[c.Len():], nil, c, nil)
 		return c
 	}
 	flat := func(n int) *KVCache { return fill(NewKVCache(cfg), n) }
-	paged := func(n int) *KVCache { return fill(arena.NewKVCache(), n) }
+	view := func(tail int, in ...*KVCache) *KVCache { return fill(ConcatCachesReserve(tail, in...), tail) }
 	items := []*KVCache{flat(3), flat(1), flat(5), flat(2), NewKVCache(cfg)}
 	for i := 0; i < 5; i++ {
 		items = append(items, flat(1+i))
@@ -45,8 +46,8 @@ func viewInputs(t *testing.T, w *Weights, rng *rand.Rand) map[string][]*KVCache 
 	return map[string][]*KVCache{
 		"user":  {flat(40)},
 		"items": items,
-		"paged": {paged(8), paged(6), paged(4)},
-		"mixed": {flat(5), paged(7), flat(3)},
+		"views": {view(2, flat(8), flat(6)), view(3, flat(4)), view(0, flat(2))},
+		"mixed": {flat(5), view(3, flat(7), NewKVCache(cfg)), flat(3)},
 	}
 }
 
@@ -59,9 +60,9 @@ func totalLen(caches []*KVCache) int {
 }
 
 // TestConcatViewMatchesCopiedContext pins the copy-free context. A suffix
-// forward over ConcatCachesReserve's result (a view of contiguous inputs,
-// shared pages for paged ones, a copy for a mix) returns the bits a forward
-// over a copied context returns, for no rows, the last row and every row, and
+// forward over ConcatCachesReserve's result (a view of contiguous inputs, or
+// of views' parts and tails) returns the bits a forward over a copied
+// context returns, for no rows, the last row and every row, and
 // leaves the same K/V behind. The inputs' bytes never change, and after
 // Release they serve the next context identically.
 func TestConcatViewMatchesCopiedContext(t *testing.T) {
@@ -83,8 +84,7 @@ func TestConcatViewMatchesCopiedContext(t *testing.T) {
 			for pass := 0; pass < 2; pass++ {
 				what := fmt.Sprintf("%s rows=%v pass %d", name, rows, pass)
 				ctx := ConcatCachesReserve(n, inputs...)
-				_, isView := ctx.store.(*viewStore)
-				if isView != (name == "user" || name == "items") {
+				if _, isView := ctx.store.(*viewStore); !isView {
 					t.Fatalf("%s: context is a %T", what, ctx.store)
 				}
 				got := w.ForwardRows(toks, pos, nil, ctx, rows)
@@ -153,19 +153,7 @@ func TestViewStoreMethods(t *testing.T) {
 	w.Forward(toks[:1], []int{base + 5}, nil, clone)
 	same("view after its clone grew", view, cp)
 
-	extra := inputs[0]
-	view.store.appendFrom(extra.store, extra.n, 0)
-	view.n += extra.n
-	cp.store.appendFrom(extra.store, extra.n, 0)
-	cp.n += extra.n
-	same("bulk append", view, cp)
-
 	same("CopyRange", view.CopyRange(2, base+3), cp.CopyRange(2, base+3))
-	arena, err := NewBlockArena(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same("Adopt", arena.Adopt(view), cp)
 	same("ConcatCaches over a view", ConcatCaches(view, inputs[2]), ConcatCaches(cp, inputs[2]))
 
 	if err := view.UnmarshalBinary(marshalCache(t, cp)); err != nil {

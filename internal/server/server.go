@@ -66,10 +66,6 @@ type Config struct {
 	// MultiDisc serves with the §4.2 multi-discriminant extension: one
 	// discriminant token per candidate instead of a single shared one.
 	MultiDisc bool
-	// PageTokens, when positive, stores every cached prefix in a shared
-	// PagedAttention-style BlockArena with pages of that many tokens, so
-	// concurrent contexts share block-aligned prefix pages copy-free.
-	PageTokens int
 	// Admission tunes the overload ladder (in-flight bound, wait queue,
 	// default deadline, degrade threshold). Zero value = defaults.
 	Admission admission.Config
@@ -93,11 +89,10 @@ type Config struct {
 
 // Server is the ranking service.
 type Server struct {
-	cfg   Config
-	core  *serving.Core
-	be    *localBackend
-	arena *model.BlockArena // nil unless cfg.PageTokens > 0 (be.arena)
-	part  *partition.Controller
+	cfg  Config
+	core *serving.Core
+	be   *localBackend
+	part *partition.Controller
 }
 
 // New builds a server.
@@ -146,28 +141,20 @@ func New(cfg Config) (*Server, error) {
 	}
 	be.userBudget.Store(int64(cfg.MaxUserCaches))
 	be.itemBudget.Store(int64(cfg.MaxItemCaches))
-	if cfg.PageTokens > 0 {
-		arena, err := model.NewBlockArena(r.W.Config(), cfg.PageTokens)
-		if err != nil {
-			return nil, err
-		}
-		be.arena = arena
-	}
 	state := &localState{
 		items: make(map[int]*model.KVCache),
 		users: make(map[int]*model.KVCache),
 	}
 	if cfg.PrecomputeItems {
 		// Item caches are independent forwards, so build them across the
-		// tensor worker pool. Each goroutine computes into private contiguous
-		// storage; admission into the shared (non-thread-safe) arena happens
-		// serially afterwards. Same caches as the serial loop, just faster.
-		flat := make([]*model.KVCache, len(cfg.Dataset.ItemTokens))
-		tensor.Parallel(len(flat), func(i int) {
-			flat[i] = bipartite.ComputeItemCache(r.W, cfg.Dataset.ItemTokens[i])
+		// tensor worker pool, each into its own slot. Same caches as the
+		// serial loop, just faster.
+		items := make([]*model.KVCache, len(cfg.Dataset.ItemTokens))
+		tensor.Parallel(len(items), func(i int) {
+			items[i] = bipartite.ComputeItemCache(r.W, cfg.Dataset.ItemTokens[i])
 		})
-		for i, c := range flat {
-			state.items[i] = be.adoptCache(c)
+		for i, c := range items {
+			state.items[i] = c
 			state.itemLRU = append(state.itemLRU, i)
 		}
 	}
@@ -193,7 +180,7 @@ func New(cfg Config) (*Server, error) {
 	reg := core.Observer().Registry()
 	reg.GaugeFunc("bat_item_cache_entries", func() float64 { return float64(len(be.snap.Load().items)) })
 	reg.GaugeFunc("bat_user_cache_entries", func() float64 { return float64(len(be.snap.Load().users)) })
-	srv := &Server{cfg: cfg, core: core, be: be, arena: be.arena}
+	srv := &Server{cfg: cfg, core: core, be: be}
 	if mode == partition.Adaptive {
 		ctrl, err := partition.New(partition.Config{Interval: cfg.PartitionInterval},
 			partition.Class{
@@ -350,7 +337,6 @@ type localState struct {
 // localBackend is the in-process cache pool behind the serving core.
 type localBackend struct {
 	cfg   *Config
-	arena *model.BlockArena // nil unless cfg.PageTokens > 0
 	start time.Time
 	snap  atomic.Pointer[localState]
 
@@ -390,16 +376,6 @@ func (b *localBackend) setBudget(budget *atomic.Int64, n int64) int64 {
 	}
 	budget.Store(n)
 	return n
-}
-
-// adoptCache re-homes a freshly computed cache into the arena when paging is
-// enabled, so stored prefixes live in shared pages. Arena operations are not
-// thread-safe; they run only at startup and inside Commit (one goroutine).
-func (b *localBackend) adoptCache(c *model.KVCache) *model.KVCache {
-	if b.arena == nil {
-		return c
-	}
-	return b.arena.Adopt(c)
 }
 
 // Plan decides one request's prefix organization from the current snapshot.
@@ -456,10 +432,9 @@ func (b *localBackend) Plan(ctx context.Context, req serving.RankRequest) (*serv
 }
 
 // Commit applies the batch's cache admissions and LRU evictions serially at
-// the batch boundary: build the next snapshot copy-on-write, publish it
-// atomically, release evicted caches. Safe because every cache reader (the
-// next batch's plans and execution) only starts after the new snapshot is
-// visible, and the previous batch's readers are already done.
+// the batch boundary: build the next snapshot copy-on-write and publish it
+// atomically. Evicted caches are contiguous and simply dropped; a reader
+// still holding one keeps a valid cache until the garbage collector takes it.
 func (b *localBackend) Commit(entries []serving.CommitEntry) {
 	cur := b.snap.Load()
 	userBudget, itemBudget := b.userBudget.Load(), b.itemBudget.Load()
@@ -505,7 +480,6 @@ func (b *localBackend) Commit(entries []serving.CommitEntry) {
 		next.users[k] = v
 	}
 	changed := false
-	var evicted []*model.KVCache
 	for _, e := range entries {
 		if e.Plan.Recompute {
 			continue
@@ -517,13 +491,13 @@ func (b *localBackend) Commit(entries []serving.CommitEntry) {
 			u := e.Req.UserID
 			if _, ok := next.users[u]; !ok {
 				next.userLRU = append(next.userLRU, u)
-				next.users[u] = b.adoptCache(e.Run.NewUserCache)
+				next.users[u] = e.Run.NewUserCache
 				changed = true
 			}
 		}
 		for slot, c := range e.Run.NewItemCaches {
 			if id := e.Req.CandidateIDs[slot]; next.items[id] == nil {
-				next.items[id] = b.adoptCache(c)
+				next.items[id] = c
 				next.itemLRU = append(next.itemLRU, id)
 				changed = true
 			}
@@ -533,8 +507,7 @@ func (b *localBackend) Commit(entries []serving.CommitEntry) {
 	for int64(len(next.users)) > userBudget && len(next.userLRU) > 0 {
 		victim := next.userLRU[0]
 		next.userLRU = next.userLRU[1:]
-		if old, ok := next.users[victim]; ok {
-			evicted = append(evicted, old)
+		if _, ok := next.users[victim]; ok {
 			changed = true
 		}
 		delete(next.users, victim)
@@ -542,8 +515,7 @@ func (b *localBackend) Commit(entries []serving.CommitEntry) {
 	for itemBudget > 0 && int64(len(next.items)) > itemBudget && len(next.itemLRU) > 0 {
 		victim := next.itemLRU[0]
 		next.itemLRU = next.itemLRU[1:]
-		if old, ok := next.items[victim]; ok {
-			evicted = append(evicted, old)
+		if _, ok := next.items[victim]; ok {
 			changed = true
 		}
 		delete(next.items, victim)
@@ -552,9 +524,6 @@ func (b *localBackend) Commit(entries []serving.CommitEntry) {
 		return
 	}
 	b.snap.Store(next)
-	for _, c := range evicted {
-		c.Release() // return arena pages; no-op for contiguous storage
-	}
 }
 
 // minUserHotness scans the snapshot's cached users for the coldest one.

@@ -230,35 +230,32 @@ func TestPrecomputeItems(t *testing.T) {
 
 // TestPrecomputeItemsParallelMatchesSerial pins the pooled startup path:
 // item caches built at pool width 4 must serve requests identically to a
-// width-1 build, for both contiguous and paged storage.
+// width-1 build.
 func TestPrecomputeItemsParallelMatchesSerial(t *testing.T) {
-	for _, pageTokens := range []int{0, 2} {
-		build := func(width int) *Server {
-			tensor.SetParallelism(width)
-			return newTestServer(t, func(c *Config) {
-				c.PrecomputeItems = true
-				c.Policy = scheduler.StaticItem{}
-				c.PageTokens = pageTokens
-			})
-		}
-		defer tensor.SetParallelism(0)
-		serial := build(1)
-		parallel := build(4)
-		if serial.itemCacheCount() != parallel.itemCacheCount() {
-			t.Fatalf("pages=%d: %d caches serial vs %d parallel", pageTokens, serial.itemCacheCount(), parallel.itemCacheCount())
-		}
-		req := RankRequest{UserID: 2, CandidateIDs: []int{5, 6, 7, 8, 9}}
-		a, err := serial.Rank(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := parallel.Rank(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(a.Ranking) != fmt.Sprint(b.Ranking) || a.ReusedTokens != b.ReusedTokens {
-			t.Fatalf("pages=%d: parallel precompute serves differently: %+v vs %+v", pageTokens, a, b)
-		}
+	build := func(width int) *Server {
+		tensor.SetParallelism(width)
+		return newTestServer(t, func(c *Config) {
+			c.PrecomputeItems = true
+			c.Policy = scheduler.StaticItem{}
+		})
+	}
+	defer tensor.SetParallelism(0)
+	serial := build(1)
+	parallel := build(4)
+	if serial.itemCacheCount() != parallel.itemCacheCount() {
+		t.Fatalf("%d caches serial vs %d parallel", serial.itemCacheCount(), parallel.itemCacheCount())
+	}
+	req := RankRequest{UserID: 2, CandidateIDs: []int{5, 6, 7, 8, 9}}
+	a, err := serial.Rank(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := parallel.Rank(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(a.Ranking) != fmt.Sprint(b.Ranking) || a.ReusedTokens != b.ReusedTokens {
+		t.Fatalf("parallel precompute serves differently: %+v vs %+v", a, b)
 	}
 }
 
@@ -359,69 +356,6 @@ func TestMultiDiscServing(t *testing.T) {
 	}
 	if second.ReusedTokens == 0 {
 		t.Fatal("multi-disc serving did not reuse item caches")
-	}
-}
-
-// TestPagedServing: with a BlockArena behind the caches, serving stays
-// byte-identical to flat storage and the arena reaches a steady page count.
-func TestPagedServing(t *testing.T) {
-	flat := newTestServer(t, func(c *Config) { c.Policy = scheduler.StaticItem{} })
-	paged := newTestServer(t, func(c *Config) {
-		c.Policy = scheduler.StaticItem{}
-		c.PageTokens = 2 // item token counts are small; tiny pages share more
-	})
-	if paged.arena == nil {
-		t.Fatal("arena not created")
-	}
-	cands := []int{1, 3, 5, 7, 9, 11}
-	var lastFlat, lastPaged *RankResponse
-	for turn := 0; turn < 5; turn++ {
-		var err error
-		lastFlat, err = flat.Rank(RankRequest{UserID: turn, CandidateIDs: cands})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lastPaged, err = paged.Rank(RankRequest{UserID: turn, CandidateIDs: cands})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range lastFlat.Ranking {
-			if lastFlat.Ranking[i] != lastPaged.Ranking[i] {
-				t.Fatalf("turn %d: paged ranking diverged", turn)
-			}
-		}
-		if lastPaged.ReusedTokens != lastFlat.ReusedTokens {
-			t.Fatalf("turn %d: reuse accounting differs (%d vs %d)",
-				turn, lastPaged.ReusedTokens, lastFlat.ReusedTokens)
-		}
-	}
-	st := paged.arena.Stats()
-	if st.ShareEvents == 0 {
-		t.Fatal("no page sharing during paged serving")
-	}
-	before := st.BlocksAllocated
-	if _, err := paged.Rank(RankRequest{UserID: 9, CandidateIDs: cands}); err != nil {
-		t.Fatal(err)
-	}
-	if grew := paged.arena.Stats().BlocksAllocated - before; grew > 6 {
-		t.Fatalf("steady-state request allocated %d new blocks", grew)
-	}
-}
-
-// TestPagedUserEvictionReleasesPages: evicted user caches hand pages back.
-func TestPagedUserEvictionReleasesPages(t *testing.T) {
-	s := newTestServer(t, func(c *Config) {
-		c.Policy = scheduler.StaticUser{}
-		c.MaxUserCaches = 2
-		c.PageTokens = 2
-	})
-	for u := 0; u < 6; u++ {
-		if _, err := s.Rank(RankRequest{UserID: u, CandidateIDs: []int{1, 2}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.arena.Stats().BlocksFree == 0 {
-		t.Fatal("evictions returned no pages to the arena")
 	}
 }
 
