@@ -23,8 +23,9 @@ type BatchItem struct {
 // request r's queries from seeing request s's keys. Because attention scores
 // for masked keys are exactly NegInf -> exactly 0 weight, and every row-wise
 // op (embeddings, RMSNorm, GEMM rows, RoPE) is independent per token with a
-// fixed scalar summation order, the packed forward is bit-identical to
-// executing each item through Execute on its own — at any batch split.
+// fixed scalar summation order, each item's readout rows are bit-identical
+// to ForwardReference over that item's whole layout — at any batch split.
+// Execute is a batch of one.
 //
 // Caller-supplied caches are never mutated.
 func ExecuteBatch(w *model.Weights, items []BatchItem) ([]*Run, error) {
@@ -66,9 +67,9 @@ func ExecuteBatchCancelable(w *model.Weights, items []BatchItem, cancels []func(
 	// (prefix kind, anchor position, tokens), each unique computation runs
 	// exactly once on the worker pool, and every further slot that wanted the
 	// same prefix receives a bit-identical clone instead of a duplicate
-	// forward. The math of each unique forward is identical to the
-	// per-request Execute prefix phase, so results stay bit-identical at any
-	// batch split — dedup only removes repeated work, never changes it.
+	// forward. Each unique forward is the prefix's own causal forward under
+	// its layout mask, so results stay bit-identical at any batch split —
+	// dedup only removes repeated work, never changes it.
 	parts := make([][]*model.KVCache, n)
 	var plan missPlan
 	for i := range items {
@@ -138,7 +139,7 @@ func ExecuteBatchCancelable(w *model.Weights, items []BatchItem, cancels []func(
 		l := items[i].Layout
 		readRange[i][0] = len(readRows)
 		for _, r := range l.readoutRows() {
-			readRows = append(readRows, len(sufTokens)+r)
+			readRows = append(readRows, len(sufTokens)+r-l.PrefixLen)
 		}
 		readRange[i][1] = len(readRows)
 		sufRange[i][0] = off
@@ -175,7 +176,6 @@ func ExecuteBatchCancelable(w *model.Weights, items []BatchItem, cancels []func(
 		lo, hi := readRange[i][0], readRange[i][1]
 		runs[i].Hidden = tensor.FromSlice(hi-lo, hidden.Cols, hidden.Data[lo*hidden.Cols:hi*hidden.Cols])
 		runs[i].ComputedTokens += l.Len() - l.PrefixLen
-		runs[i].Discriminant = runs[i].Hidden.Row(hi - lo - 1)
 	}
 	return runs, errs
 }
@@ -236,12 +236,11 @@ func (p *missPlan) add(key string, unit missUnit, d missDest) {
 	p.units = append(p.units, u)
 }
 
-// classifyPrefix mirrors the per-request Execute prefix phase's cache
-// resolution without computing anything: cache hits fill the returned parts
-// directly, misses are registered with the planner and left as nil holes for
-// distribute to fill after the unique computations run. Validation happens
-// before any unit is registered, so a failed item never leaves dangling
-// destinations.
+// classifyPrefix resolves one item's prefix against its caches without
+// computing anything: cache hits fill the returned parts directly, misses are
+// registered with the planner and left as nil holes for distribute to fill
+// after the unique computations run. Validation happens before any unit is
+// registered, so a failed item never leaves dangling destinations.
 func (p *missPlan) classifyPrefix(l *Layout, caches CacheSet, run *Run, item int) ([]*model.KVCache, error) {
 	switch l.Kind {
 	case UserPrefix:
@@ -290,9 +289,7 @@ func (p *missPlan) classifyPrefix(l *Layout, caches CacheSet, run *Run, item int
 	}
 }
 
-// compute runs one unit's forward — identical math to what the per-request
-// Execute prefix phase would have run for the same miss, and like it, K/V
-// only.
+// compute runs one unit's forward alone, K/V only.
 func (u *missUnit) compute(w *model.Weights) *model.KVCache {
 	if u.user {
 		c := model.NewKVCache(w.Config())
@@ -386,8 +383,8 @@ func (m unitsMask) ExactKeyRanges(q int, dst [][2]int) [][2]int {
 }
 
 // distribute hands each computed unit to its destinations. Every destination
-// accounts the tokens as computed — matching per-request Execute exactly, so
-// response payloads stay bit-identical — while destinations beyond the first
+// accounts the tokens as computed — so a response's accounting does not
+// depend on what else rode in its batch — while destinations beyond the first
 // additionally count as deduped (the forward they did not have to run).
 func (p *missPlan) distribute(runs []*Run, parts [][]*model.KVCache) {
 	for _, u := range p.units {

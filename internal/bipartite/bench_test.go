@@ -10,11 +10,11 @@ import (
 	"bat/internal/tensor"
 )
 
-// TestExecuteParallelMissesMatchSerial pins the parallelized miss-recompute
-// path: an ItemPrefix Execute with every item cache missing must produce
+// TestExecuteAllMissMatchesWarm: an ItemPrefix Execute with every item cache
+// missing — the misses recomputed in one packed forward — must produce
 // bit-identical hidden states to one fed fully precomputed caches, at any
-// pool width, and report the same token accounting as before.
-func TestExecuteParallelMissesMatchSerial(t *testing.T) {
+// pool width, and account every token as computed.
+func TestExecuteAllMissMatchesWarm(t *testing.T) {
 	defer tensor.SetParallelism(0)
 	w := testWeights()
 	rng := rand.New(rand.NewSource(8))
@@ -133,5 +133,5 @@ func benchExecute(b *testing.B, warm bool) {
 func BenchmarkBipartiteExecute(b *testing.B) { benchExecute(b, true) }
 
 // BenchmarkBipartiteExecuteCold is the same request with every item cache
-// missing, exercising the pool-parallel miss recompute.
+// missing, exercising the packed miss recompute.
 func BenchmarkBipartiteExecuteCold(b *testing.B) { benchExecute(b, false) }

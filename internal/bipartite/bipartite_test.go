@@ -215,7 +215,7 @@ func TestItemPermutationInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := tensor.MaxAbsDiff(r1.Discriminant, r2.Discriminant); d > 1e-5 {
+		if d := tensor.MaxAbsDiff(r1.Hidden.Data, r2.Hidden.Data); d > 1e-5 {
 			t.Errorf("%v: discriminant changed by %v under item permutation", kind, d)
 		}
 	}
@@ -247,7 +247,7 @@ func TestUserPrefixCacheReuseExactness(t *testing.T) {
 	if warm.ReusedTokens != 8 || warm.ComputedTokens != l.Len()-8 {
 		t.Fatalf("warm run accounting: reused %d computed %d", warm.ReusedTokens, warm.ComputedTokens)
 	}
-	if d := tensor.MaxAbsDiff(cold.Discriminant, warm.Discriminant); d != 0 {
+	if d := tensor.MaxAbsDiff(cold.Hidden.Data, warm.Hidden.Data); d != 0 {
 		t.Fatalf("cached UP run deviates by %v", d)
 	}
 	// The stored cache must not have been mutated by serving.
@@ -280,7 +280,7 @@ func TestItemPrefixCacheReuseExactness(t *testing.T) {
 	if warm.ReusedTokens != 12 {
 		t.Fatalf("full-hit reused %d, want 12", warm.ReusedTokens)
 	}
-	if d := tensor.MaxAbsDiff(cold.Discriminant, warm.Discriminant); d != 0 {
+	if d := tensor.MaxAbsDiff(cold.Hidden.Data, warm.Hidden.Data); d != 0 {
 		t.Fatalf("full-hit IP run deviates by %v", d)
 	}
 
@@ -296,7 +296,7 @@ func TestItemPrefixCacheReuseExactness(t *testing.T) {
 	if len(part.NewItemCaches) != 2 {
 		t.Fatalf("partial-hit produced %d new caches, want 2", len(part.NewItemCaches))
 	}
-	if d := tensor.MaxAbsDiff(cold.Discriminant, part.Discriminant); d != 0 {
+	if d := tensor.MaxAbsDiff(cold.Hidden.Data, part.Hidden.Data); d != 0 {
 		t.Fatalf("partial-hit IP run deviates by %v", d)
 	}
 }
@@ -321,7 +321,7 @@ func TestItemCacheSharedAcrossRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref1, _ := Execute(w, l1, CacheSet{})
-	if d := tensor.MaxAbsDiff(r1.Discriminant, ref1.Discriminant); d != 0 {
+	if d := tensor.MaxAbsDiff(r1.Hidden.Data, ref1.Hidden.Data); d != 0 {
 		t.Fatalf("request 1 deviates by %v", d)
 	}
 
@@ -331,7 +331,7 @@ func TestItemCacheSharedAcrossRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref2, _ := Execute(w, l2, CacheSet{})
-	if d := tensor.MaxAbsDiff(r2.Discriminant, ref2.Discriminant); d != 0 {
+	if d := tensor.MaxAbsDiff(r2.Hidden.Data, ref2.Hidden.Data); d != 0 {
 		t.Fatalf("request 2 deviates by %v", d)
 	}
 	if r1.ReusedTokens != 3 || r2.ReusedTokens != 3 {

@@ -50,11 +50,10 @@ type CacheSet struct {
 type Run struct {
 	Layout *Layout
 	// Hidden holds the final hidden states a run reads out, in order: the
-	// last token's, or each candidate's discriminant for a multi-disc layout
-	// (Layout.DiscriminantIndices order). No other row is computed.
+	// last token's — the discriminant — or each candidate's discriminant for
+	// a multi-disc layout (Layout.DiscriminantIndices order). No other row is
+	// computed.
 	Hidden *tensor.Matrix
-	// Discriminant is the final hidden state of the discriminant token.
-	Discriminant []float32
 	// ReusedTokens counts prefix tokens served from cache; ComputedTokens
 	// counts tokens that went through the transformer in this call
 	// (including any item caches recomputed on a miss).
@@ -67,136 +66,53 @@ type Run struct {
 	NewUserCache *model.KVCache
 	// DedupedTokens counts prefix tokens whose forward was shared from
 	// another identical in-batch miss (ExecuteBatch's plan-time dedup): the
-	// tokens are still accounted in ComputedTokens — so responses match
-	// per-request Execute exactly — but their transformer pass ran once for
-	// the whole batch and this run received a bit-identical clone.
+	// tokens are still accounted in ComputedTokens — so a response does not
+	// depend on its batch — but their transformer pass ran once for the
+	// whole batch and this run received a bit-identical clone.
 	DedupedTokens int
 }
 
-// Execute runs GR inference for a layout, reusing whatever caches contains.
-// Caller-supplied caches are never mutated.
+// Execute runs GR inference for one layout, reusing whatever caches
+// contains: a batch of one through ExecuteBatch. Caller-supplied caches are
+// never mutated.
 func Execute(w *model.Weights, l *Layout, caches CacheSet) (*Run, error) {
 	return ExecuteCancelable(w, l, caches, nil)
 }
 
 // ExecuteCancelable is Execute with a cooperative cancellation hook: cancel
-// (nil = never cancel) is polled at phase boundaries — before the prefix
-// forward, before miss recomputes, and before the suffix forward — so a
-// request whose client disconnected or whose deadline expired stops burning
-// model compute at the next boundary instead of running to completion.
+// (nil = never cancel) is polled at ExecuteBatchCancelable's phase
+// boundaries, so a request whose client disconnected or whose deadline
+// expired stops burning model compute at the next boundary.
 func ExecuteCancelable(w *model.Weights, l *Layout, caches CacheSet, cancel func() error) (*Run, error) {
-	if err := checkCancel(cancel); err != nil {
-		return nil, err
-	}
-	switch l.Kind {
-	case UserPrefix:
-		return executeUserPrefix(w, l, caches.User, cancel)
-	case ItemPrefix:
-		return executeItemPrefix(w, l, caches.Items, cancel)
+	runs, errs := ExecuteBatchCancelable(w, []BatchItem{{Layout: l, Caches: caches}}, []func() error{cancel})
+	return runs[0], errs[0]
+}
+
+// Scores reads candidate scores off a run's readout rows, in candidate
+// order. One discriminant row scores every candidate by its identifier
+// token's logit; a multi-disc run has one row per candidate and scores each
+// on its own identifier token, s_i = z_i[v_i] (§4.2's per-item readout).
+func Scores(w *model.Weights, run *Run, candTokens []int) ([]float32, error) {
+	h := run.Hidden
+	switch h.Rows {
+	case 1:
+		return w.LogitsFor(h.Row(0), candTokens), nil
+	case len(candTokens):
+		scores := make([]float32, h.Rows)
+		for i := range scores {
+			scores[i] = w.LogitsFor(h.Row(i), candTokens[i:i+1])[0]
+		}
+		return scores, nil
 	default:
-		return nil, fmt.Errorf("bipartite: unknown layout kind %d", int(l.Kind))
+		return nil, fmt.Errorf("bipartite: %d readout rows for %d candidates", h.Rows, len(candTokens))
 	}
 }
 
-// readoutRows returns the suffix-relative rows whose hidden states a run
-// reads: each candidate's discriminant for a multi-disc layout, else the
-// last token.
+// readoutRows returns the layout indices whose hidden states a run reads:
+// each candidate's discriminant for a multi-disc layout, else the last token.
 func (l *Layout) readoutRows() []int {
-	rows := l.DiscriminantIndices()
-	if rows == nil {
-		return []int{l.Len() - l.PrefixLen - 1}
+	if rows := l.DiscriminantIndices(); rows != nil {
+		return rows
 	}
-	for i := range rows {
-		rows[i] -= l.PrefixLen
-	}
-	return rows
-}
-
-func checkCancel(cancel func() error) error {
-	if cancel == nil {
-		return nil
-	}
-	return cancel()
-}
-
-func executeUserPrefix(w *model.Weights, l *Layout, userCache *model.KVCache, cancel func() error) (*Run, error) {
-	run := &Run{Layout: l}
-	suffix := l.Tokens[l.PrefixLen:]
-	pos := l.Pos[l.PrefixLen:]
-	prefix := userCache
-	if prefix != nil {
-		if prefix.Len() != l.PrefixLen {
-			return nil, fmt.Errorf("bipartite: user cache covers %d tokens, layout prefix is %d", prefix.Len(), l.PrefixLen)
-		}
-		run.ReusedTokens = l.PrefixLen
-	} else {
-		prefix = model.NewKVCache(w.Config())
-		if l.PrefixLen > 0 {
-			w.ForwardRows(l.Tokens[:l.PrefixLen], l.Pos[:l.PrefixLen], l.Mask(), prefix, nil)
-			run.ComputedTokens += l.PrefixLen
-			run.NewUserCache = prefix
-		}
-	}
-	if err := checkCancel(cancel); err != nil {
-		return nil, err
-	}
-	// The suffix extends a view of the prefix, so the prefix — cached or just
-	// computed — is neither copied nor written.
-	ctx := model.ConcatCachesReserve(len(suffix), prefix)
-	run.Hidden = w.ForwardRows(suffix, pos, l.Mask(), ctx, l.readoutRows())
-	ctx.Release() // return the tail to its pool
-	run.ComputedTokens += len(suffix)
-	run.Discriminant = run.Hidden.Row(run.Hidden.Rows - 1)
-	return run, nil
-}
-
-func executeItemPrefix(w *model.Weights, l *Layout, itemCaches map[int]*model.KVCache, cancel func() error) (*Run, error) {
-	run := &Run{Layout: l}
-	segs := l.ItemSegments()
-	parts := make([]*model.KVCache, len(segs))
-	var missIdx []int
-	for si, seg := range segs {
-		if c, ok := itemCaches[seg.Item]; ok && c != nil {
-			if c.Len() != seg.Len {
-				return nil, fmt.Errorf("bipartite: item %d cache covers %d tokens, segment has %d", seg.Item, c.Len(), seg.Len)
-			}
-			parts[si] = c
-			run.ReusedTokens += seg.Len
-			continue
-		}
-		missIdx = append(missIdx, si)
-	}
-	if err := checkCancel(cancel); err != nil {
-		return nil, err
-	}
-	// Recompute every miss with the layout's own anchor position so PIC
-	// layouts produce PIC-valid caches. Items attend only to themselves, so
-	// the misses are independent forwards and fan out across the worker
-	// pool; each writes only its own parts slot, keeping results identical
-	// to the serial loop. Bookkeeping stays on this goroutine.
-	tensor.Parallel(len(missIdx), func(m int) {
-		seg := segs[missIdx[m]]
-		parts[missIdx[m]] = ComputeItemCacheAt(w, l.Tokens[seg.Start:seg.Start+seg.Len], seg.PosStart)
-	})
-	for _, si := range missIdx {
-		seg := segs[si]
-		run.ComputedTokens += seg.Len
-		if run.NewItemCaches == nil {
-			run.NewItemCaches = make(map[int]*model.KVCache)
-		}
-		run.NewItemCaches[seg.Item] = parts[si]
-	}
-	if err := checkCancel(cancel); err != nil {
-		return nil, err
-	}
-	// Assemble the context once, with room for the suffix: a view of the
-	// caches, which stay untouched.
-	suffix := l.Tokens[l.PrefixLen:]
-	pos := l.Pos[l.PrefixLen:]
-	ctx := model.ConcatCachesReserve(len(suffix), parts...)
-	run.Hidden = w.ForwardRows(suffix, pos, l.Mask(), ctx, l.readoutRows())
-	ctx.Release() // return the tail to its pool
-	run.ComputedTokens += len(suffix)
-	run.Discriminant = run.Hidden.Row(run.Hidden.Rows - 1)
-	return run, nil
+	return []int{l.Len() - 1}
 }

@@ -1,10 +1,6 @@
 package bipartite
 
-import (
-	"fmt"
-
-	"bat/internal/model"
-)
+import "fmt"
 
 // Multi-discriminant layouts implement §4.2's extension: "our mechanism can
 // be extended to multiple tokens by applying attention to them, e.g., one
@@ -94,41 +90,4 @@ func (m layoutMask) allowedDisc(qs, ks Segment) bool {
 	default:
 		return false
 	}
-}
-
-// ExecuteMultiDisc runs a multi-discriminant layout, reusing caches like
-// Execute, and returns per-candidate discriminant hidden states.
-func ExecuteMultiDisc(w *model.Weights, l *Layout, caches CacheSet) (*Run, [][]float32, error) {
-	discs := l.DiscriminantIndices()
-	if len(discs) == 0 {
-		return nil, nil, fmt.Errorf("bipartite: layout has no per-item discriminants")
-	}
-	for i, abs := range discs {
-		if abs < l.PrefixLen {
-			return nil, nil, fmt.Errorf("bipartite: discriminant %d inside the cached prefix", i)
-		}
-	}
-	run, err := Execute(w, l, caches)
-	if err != nil {
-		return nil, nil, err
-	}
-	// run.Hidden holds exactly the discriminant rows, in candidate order.
-	out := make([][]float32, len(discs))
-	for i := range discs {
-		out[i] = run.Hidden.Row(i)
-	}
-	return run, out, nil
-}
-
-// ScoreMultiDisc projects each candidate's discriminant state onto its
-// identifier token: s_i = z_i[v_i], the paper's per-item logit readout.
-func ScoreMultiDisc(w *model.Weights, states [][]float32, candTokens []int) ([]float32, error) {
-	if len(states) != len(candTokens) {
-		return nil, fmt.Errorf("bipartite: %d discriminant states for %d candidates", len(states), len(candTokens))
-	}
-	scores := make([]float32, len(states))
-	for i, h := range states {
-		scores[i] = w.LogitsFor(h, candTokens[i:i+1])[0]
-	}
-	return scores, nil
 }

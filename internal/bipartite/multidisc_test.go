@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"bat/internal/model"
 	"bat/internal/tensor"
 )
 
@@ -91,19 +92,7 @@ func TestMultiDiscPairwiseIsolation(t *testing.T) {
 	cands := []int{10, 20, 30, 40}
 
 	score := func(p Prompt, kind PrefixKind) []float32 {
-		l, err := BuildMultiDisc(kind, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, states, err := ExecuteMultiDisc(w, l, CacheSet{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := ScoreMultiDisc(w, states, cands)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+		return multiDiscScores(t, w, kind, p, cands)
 	}
 	// Under UserPrefix isolation is exact: the user never reads items, so
 	// disc i depends on the user and candidate i only.
@@ -140,6 +129,24 @@ func TestMultiDiscPairwiseIsolation(t *testing.T) {
 	}
 }
 
+// multiDiscScores executes p's multi-disc layout cold and scores it.
+func multiDiscScores(t *testing.T, w *model.Weights, kind PrefixKind, p Prompt, cands []int) []float32 {
+	t.Helper()
+	l, err := BuildMultiDisc(kind, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := Execute(w, l, CacheSet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Scores(w, run, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func abs32(x float32) float32 {
 	if x < 0 {
 		return -x
@@ -155,15 +162,7 @@ func TestMultiDiscPermutationEquivariance(t *testing.T) {
 	p := multiDiscPrompt(rng, 6, 5, 2)
 	cands := []int{11, 22, 33, 44, 55}
 
-	l, err := BuildMultiDisc(ItemPrefix, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, states, err := ExecuteMultiDisc(w, l, CacheSet{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, _ := ScoreMultiDisc(w, states, cands)
+	base := multiDiscScores(t, w, ItemPrefix, p, cands)
 
 	perm := []int{4, 2, 0, 3, 1}
 	permuted := Prompt{User: p.User, Instr: p.Instr}
@@ -172,15 +171,7 @@ func TestMultiDiscPermutationEquivariance(t *testing.T) {
 		permuted.Items = append(permuted.Items, p.Items[j])
 		permCands[i] = cands[j]
 	}
-	l2, err := BuildMultiDisc(ItemPrefix, permuted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, states2, err := ExecuteMultiDisc(w, l2, CacheSet{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := ScoreMultiDisc(w, states2, permCands)
+	got := multiDiscScores(t, w, ItemPrefix, permuted, permCands)
 	for i, j := range perm {
 		diff := got[i] - base[j]
 		if diff < -1e-5 || diff > 1e-5 {
@@ -199,44 +190,69 @@ func TestMultiDiscItemCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, coldStates, err := ExecuteMultiDisc(w, l, CacheSet{})
+	cold, err := Execute(w, l, CacheSet{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cold.NewItemCaches) != 3 {
 		t.Fatalf("%d caches minted", len(cold.NewItemCaches))
 	}
-	warm, warmStates, err := ExecuteMultiDisc(w, l, CacheSet{Items: cold.NewItemCaches})
+	warm, err := Execute(w, l, CacheSet{Items: cold.NewItemCaches})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.ReusedTokens != 9 {
 		t.Fatalf("warm reused %d tokens", warm.ReusedTokens)
 	}
-	for i := range coldStates {
-		if d := tensor.MaxAbsDiff(coldStates[i], warmStates[i]); d != 0 {
+	for i := 0; i < cold.Hidden.Rows; i++ {
+		if d := tensor.MaxAbsDiff(cold.Hidden.Row(i), warm.Hidden.Row(i)); d != 0 {
 			t.Fatalf("disc %d state deviates by %v under cache reuse", i, d)
 		}
 	}
 }
 
-func TestExecuteMultiDiscRejectsSingleDiscLayout(t *testing.T) {
+// TestScoresReadsEitherReadout: one scorer serves both readouts. A
+// single-disc run scores every candidate from its one discriminant; a
+// multi-disc run scores candidate i from row i alone; and a run whose rows
+// match neither one discriminant nor the candidate count is rejected.
+func TestScoresReadsEitherReadout(t *testing.T) {
 	w := testWeights()
 	rng := rand.New(rand.NewSource(7))
-	p := testPrompt(rng, 4, 2, 2, 2)
-	l, err := Build(UserPrefix, p)
+	p := testPrompt(rng, 4, 3, 2, 1)
+	cands := []int{1, 2, 3}
+	single, err := Build(UserPrefix, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ExecuteMultiDisc(w, l, CacheSet{}); err == nil {
-		t.Fatal("single-disc layout accepted")
+	run, err := Execute(w, single, CacheSet{})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
+	got, err := Scores(w, run, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(got, w.LogitsFor(run.Hidden.Row(0), cands)) {
+		t.Fatal("single-disc scores are not the discriminant's candidate logits")
+	}
 
-func TestScoreMultiDiscLengthMismatch(t *testing.T) {
-	w := testWeights()
-	if _, err := ScoreMultiDisc(w, make([][]float32, 2), []int{1}); err == nil {
-		t.Fatal("length mismatch accepted")
+	multi, err := BuildMultiDisc(UserPrefix, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run, err = Execute(w, multi, CacheSet{}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = Scores(w, run, cands); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cands {
+		if want := w.LogitsFor(run.Hidden.Row(i), []int{c})[0]; got[i] != want {
+			t.Fatalf("candidate %d scored %v, want its own discriminant's %v", i, got[i], want)
+		}
+	}
+	if _, err := Scores(w, run, cands[:2]); err == nil {
+		t.Fatal("3 readout rows scored against 2 candidates")
 	}
 }
 

@@ -95,7 +95,7 @@ func TestPropertyCacheReuseExactness(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if tensor.MaxAbsDiff(cold.Discriminant, warm.Discriminant) != 0 {
+			if tensor.MaxAbsDiff(cold.Hidden.Data, warm.Hidden.Data) != 0 {
 				return false
 			}
 			if warm.ReusedTokens != l.PrefixLen && len(p.User) > 0 {
@@ -141,7 +141,7 @@ func TestPropertyPermutationInvariance(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if tensor.MaxAbsDiff(r1.Discriminant, r2.Discriminant) > 1e-5 {
+			if tensor.MaxAbsDiff(r1.Hidden.Data, r2.Hidden.Data) > 1e-5 {
 				return false
 			}
 		}
@@ -173,7 +173,7 @@ func TestPropertyHSTUSharesInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return tensor.MaxAbsDiff(cold.Discriminant, warm.Discriminant) == 0
+		return tensor.MaxAbsDiff(cold.Hidden.Data, warm.Hidden.Data) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

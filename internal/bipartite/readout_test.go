@@ -73,47 +73,48 @@ func readoutCases(t *testing.T, w *model.Weights) []readoutCase {
 // TestRunHiddenIsReadoutRows pins Run.Hidden as exactly the rows a run reads
 // — the last token, or every per-item discriminant in candidate order — with
 // the bits the reference engine computes for those tokens over the whole
-// layout, from Execute, ExecuteMultiDisc and a mixed ExecuteBatch alike.
+// layout, from Execute and a mixed ExecuteBatch alike.
 func TestRunHiddenIsReadoutRows(t *testing.T) {
 	w := testWeights()
 	cases := readoutCases(t, w)
 	items := make([]BatchItem, len(cases))
-	solo := make([]*Run, len(cases))
-	for i, c := range cases {
-		l := c.layout
-		ref := w.ForwardReference(l.Tokens, l.Pos, l.Mask(), nil)
+	refs := make([]*tensor.Matrix, len(cases))
+	// check compares one run with case i's reference readout rows and the
+	// accounting its caches imply: a warm case reuses its whole prefix.
+	check := func(path string, i int, run *Run) {
+		t.Helper()
+		c, l, ref := cases[i], cases[i].layout, refs[i]
 		want := l.DiscriminantIndices()
 		if want == nil {
 			want = []int{l.Len() - 1}
 		}
+		if run.Hidden.Rows != len(want) {
+			t.Fatalf("%s %s: Hidden has %d rows, want %d", path, c.name, run.Hidden.Rows, len(want))
+		}
+		for j, abs := range want {
+			if !sameBits(run.Hidden.Row(j), ref.Row(abs)) {
+				t.Fatalf("%s %s: readout row %d (token %d) deviates from reference by %v",
+					path, c.name, j, abs, tensor.MaxAbsDiff(run.Hidden.Row(j), ref.Row(abs)))
+			}
+		}
+		reused := 0
+		if c.caches.User != nil || c.caches.Items != nil {
+			reused = l.PrefixLen
+		}
+		if run.ReusedTokens != reused || run.ComputedTokens != l.Len()-reused {
+			t.Fatalf("%s %s: accounting computed=%d reused=%d, want %d/%d", path, c.name,
+				run.ComputedTokens, run.ReusedTokens, l.Len()-reused, reused)
+		}
+	}
+	for i, c := range cases {
+		l := c.layout
+		refs[i] = w.ForwardReference(l.Tokens, l.Pos, l.Mask(), nil)
 		run, err := Execute(w, l, c.caches)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if run.Hidden.Rows != len(want) {
-			t.Fatalf("%s: Hidden has %d rows, want %d", c.name, run.Hidden.Rows, len(want))
-		}
-		for j, abs := range want {
-			if !sameBits(run.Hidden.Row(j), ref.Row(abs)) {
-				t.Fatalf("%s: readout row %d (token %d) deviates from reference by %v",
-					c.name, j, abs, tensor.MaxAbsDiff(run.Hidden.Row(j), ref.Row(abs)))
-			}
-		}
-		if !sameBits(run.Discriminant, ref.Row(l.Len()-1)) {
-			t.Fatalf("%s: discriminant deviates from reference", c.name)
-		}
-		if len(want) > 1 {
-			_, states, err := ExecuteMultiDisc(w, l, c.caches)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j, abs := range want {
-				if !sameBits(states[j], ref.Row(abs)) {
-					t.Fatalf("%s: ExecuteMultiDisc state %d deviates from reference", c.name, j)
-				}
-			}
-		}
-		items[i], solo[i] = BatchItem{Layout: l, Caches: c.caches}, run
+		check("Execute", i, run)
+		items[i] = BatchItem{Layout: l, Caches: c.caches}
 	}
 
 	runs, err := ExecuteBatch(w, items)
@@ -121,14 +122,7 @@ func TestRunHiddenIsReadoutRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, run := range runs {
-		if !sameBits(run.Hidden.Data, solo[i].Hidden.Data) || !sameBits(run.Discriminant, solo[i].Discriminant) {
-			t.Fatalf("%s: ExecuteBatch readout deviates from Execute by %v",
-				cases[i].name, tensor.MaxAbsDiff(run.Hidden.Data, solo[i].Hidden.Data))
-		}
-		if run.ComputedTokens != solo[i].ComputedTokens || run.ReusedTokens != solo[i].ReusedTokens {
-			t.Fatalf("%s: batched accounting computed=%d reused=%d, solo %d/%d", cases[i].name,
-				run.ComputedTokens, run.ReusedTokens, solo[i].ComputedTokens, solo[i].ReusedTokens)
-		}
+		check("ExecuteBatch", i, run)
 	}
 }
 

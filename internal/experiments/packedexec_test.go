@@ -59,7 +59,9 @@ func benchBatchMiss(b *testing.B, n int) (*ranking.Ranker, []bipartite.BatchItem
 	return r, miss
 }
 
-func BenchmarkExecuteSerialMiss8(b *testing.B) {
+// BenchmarkExecuteBatchOfOneMiss8 runs the eight cold requests as eight
+// batches of one (Execute); BenchmarkExecutePackedMiss8 packs them into one.
+func BenchmarkExecuteBatchOfOneMiss8(b *testing.B) {
 	defer tensor.SetParallelism(0)
 	tensor.SetParallelism(1)
 	r, items := benchBatchMiss(b, 8)
@@ -85,7 +87,9 @@ func BenchmarkExecutePackedMiss8(b *testing.B) {
 	}
 }
 
-func BenchmarkExecuteSerialWarm8(b *testing.B) {
+// BenchmarkExecuteBatchOfOneWarm8 is BenchmarkExecuteBatchOfOneMiss8 with every
+// user prefix served from cache; BenchmarkExecutePackedWarm8 packs them.
+func BenchmarkExecuteBatchOfOneWarm8(b *testing.B) {
 	defer tensor.SetParallelism(0)
 	tensor.SetParallelism(1)
 	r, items := benchBatch(b, 8)

@@ -197,16 +197,29 @@ func (r *Ranker) BuildLayout(req EvalRequest, kind bipartite.PrefixKind, pic boo
 	return layout, nil
 }
 
-// ScoreDiscriminant turns a discriminant hidden state into candidate-set
-// indices in descending score order — the scoring half of Rank, reusable on
-// discriminants produced by batched execution.
-func (r *Ranker) ScoreDiscriminant(req EvalRequest, disc []float32) []int {
+// BuildMultiLayout resolves the §4.2 multi-discriminant layout serving a
+// request: one discriminant token per candidate, each reading only the user
+// and its own item. PIC does not apply (there is no shared discriminant
+// whose position encodes sequence order the same way).
+func (r *Ranker) BuildMultiLayout(req EvalRequest, kind bipartite.PrefixKind) (*bipartite.Layout, error) {
+	p := r.Prompt(req)
+	p.Instr = []int{r.DS.DiscriminantToken()}
+	return bipartite.BuildMultiDisc(kind, p)
+}
+
+// Score turns a run's readout rows — one discriminant, or one per candidate
+// — into candidate-set indices in descending score order: the scoring half
+// of Rank and RankMulti, reusable on runs produced by batched execution.
+func (r *Ranker) Score(req EvalRequest, run *bipartite.Run) ([]int, error) {
 	candTokens := make([]int, len(req.Candidates))
 	for i, it := range req.Candidates {
 		candTokens[i] = r.DS.CandidateToken(it)
 	}
-	scores := r.W.LogitsFor(disc, candTokens)
-	return tensor.TopK(scores, len(scores))
+	scores, err := bipartite.Scores(r.W, run, candTokens)
+	if err != nil {
+		return nil, err
+	}
+	return tensor.TopK(scores, len(scores)), nil
 }
 
 // Rank scores a request under the given prefix organization and returns
@@ -217,42 +230,30 @@ func (r *Ranker) Rank(req EvalRequest, kind bipartite.PrefixKind, opts RankOpts)
 	if err != nil {
 		return nil, nil, err
 	}
+	return r.execute(req, layout, opts)
+}
+
+// RankMulti scores a request with the §4.2 multi-discriminant extension (see
+// BuildMultiLayout); opts.PIC is ignored.
+func (r *Ranker) RankMulti(req EvalRequest, kind bipartite.PrefixKind, opts RankOpts) ([]int, *bipartite.Run, error) {
+	layout, err := r.BuildMultiLayout(req, kind)
+	if err != nil {
+		return nil, nil, err
+	}
+	return r.execute(req, layout, opts)
+}
+
+// execute runs one layout and scores its readout.
+func (r *Ranker) execute(req EvalRequest, layout *bipartite.Layout, opts RankOpts) ([]int, *bipartite.Run, error) {
 	run, err := bipartite.ExecuteCancelable(r.W, layout, opts.Caches, opts.cancelFn())
 	if err != nil {
 		return nil, nil, err
 	}
-	return r.ScoreDiscriminant(req, run.Discriminant), run, nil
-}
-
-// RankMulti scores a request with the §4.2 multi-discriminant extension:
-// one discriminant token per candidate, each reading only the user and its
-// own item. PIC does not apply (there is no shared discriminant whose
-// position encodes sequence order the same way), so opts.PIC is ignored.
-func (r *Ranker) RankMulti(req EvalRequest, kind bipartite.PrefixKind, opts RankOpts) ([]int, *bipartite.Run, error) {
-	p := r.Prompt(req)
-	p.Instr = []int{r.DS.DiscriminantToken()}
-	layout, err := bipartite.BuildMultiDisc(kind, p)
+	ranked, err := r.Score(req, run)
 	if err != nil {
 		return nil, nil, err
 	}
-	if cancel := opts.cancelFn(); cancel != nil {
-		if err := cancel(); err != nil {
-			return nil, nil, err
-		}
-	}
-	run, states, err := bipartite.ExecuteMultiDisc(r.W, layout, opts.Caches)
-	if err != nil {
-		return nil, nil, err
-	}
-	candTokens := make([]int, len(req.Candidates))
-	for i, it := range req.Candidates {
-		candTokens[i] = r.DS.CandidateToken(it)
-	}
-	scores, err := bipartite.ScoreMultiDisc(r.W, states, candTokens)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tensor.TopK(scores, len(scores)), run, nil
+	return ranked, run, nil
 }
 
 // EvalResult is one Table 3 row.

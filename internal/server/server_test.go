@@ -359,6 +359,110 @@ func TestMultiDiscServing(t *testing.T) {
 	}
 }
 
+// TestMultiDiscRequestsSharePackedForward: multi-disc requests pack into the
+// batched forward like single-disc ones. Eight cold callers released
+// together form one batch, and then:
+//   - every request's trace shows the same execute window;
+//   - two identical requests recompute their items once;
+//   - every ranking and its token accounting equal a cache-less RankMulti.
+func TestMultiDiscRequestsSharePackedForward(t *testing.T) {
+	const n = 8
+	s := newTestServer(t, func(c *Config) {
+		c.MultiDisc = true
+		c.Policy = scheduler.StaticItem{}
+		c.WindowPolicy = serving.WindowFixed
+		c.BatchWindow = time.Second // the eighth arrival closes it
+		c.MaxBatch = n
+	})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	reqs := make([]RankRequest, n)
+	for i := range reqs {
+		reqs[i] = RankRequest{UserID: i, CandidateIDs: []int{i, 10 + i, 20 + i, 30 + i, 40 + i, 50 + i}}
+	}
+	reqs[n-1] = reqs[0]
+	start := make(chan struct{})
+	resps := make([]*RankResponse, n)
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			resp, err := s.Rank(reqs[i])
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+			}
+			resps[i] = resp
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	var tr serving.TraceResponse
+	getJSON(t, ts.URL+"/debug/trace", &tr)
+	if len(tr.Traces) != n {
+		t.Fatalf("%d traces, want %d", len(tr.Traces), n)
+	}
+	var execStart time.Time
+	var execMs float64
+	for i, trace := range tr.Traces {
+		if trace.BatchSize != n {
+			t.Fatalf("trace %d rode a batch of %d, want all %d in one", trace.Seq, trace.BatchSize, n)
+		}
+		var found bool
+		for _, sp := range trace.Spans {
+			if sp.Stage != serving.StageExecute {
+				continue
+			}
+			found = true
+			at := trace.Start.Add(time.Duration(sp.StartMs * float64(time.Millisecond)))
+			if i == 0 {
+				execStart, execMs = at, sp.DurMs
+			} else if d := at.Sub(execStart); d < -time.Microsecond || d > time.Microsecond || sp.DurMs != execMs {
+				t.Fatalf("trace %d executes at %v for %vms; trace %d at %v for %vms: not one packed forward",
+					trace.Seq, at, sp.DurMs, tr.Traces[0].Seq, execStart, execMs)
+			}
+		}
+		if !found {
+			t.Fatalf("trace %d has no execute span", trace.Seq)
+		}
+	}
+	if st := s.Stats(); st.DedupedTokens == 0 {
+		t.Fatal("two identical cold multi-disc requests in one batch recomputed their items twice")
+	}
+
+	r, err := ranking.NewRanker(testDataset(t), ranking.VariantBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, req := range reqs {
+		ranked, run, err := r.RankMulti(ranking.EvalRequest{User: req.UserID, Candidates: req.CandidateIDs},
+			bipartite.ItemPrefix, ranking.RankOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := resps[i]
+		if got.Prefix != bipartite.ItemPrefix.String() || got.ComputedTokens != run.ComputedTokens || got.ReusedTokens != run.ReusedTokens {
+			t.Fatalf("request %d: %s computed=%d reused=%d, cache-less RankMulti %s %d/%d", i,
+				got.Prefix, got.ComputedTokens, got.ReusedTokens, bipartite.ItemPrefix, run.ComputedTokens, run.ReusedTokens)
+		}
+		if len(got.Ranking) != len(ranked) {
+			t.Fatalf("request %d: ranking %v, want %d entries", i, got.Ranking, len(ranked))
+		}
+		for j, idx := range ranked {
+			if got.Ranking[j] != req.CandidateIDs[idx] {
+				t.Fatalf("request %d: ranking %v deviates from cache-less RankMulti at %d", i, got.Ranking, j)
+			}
+		}
+	}
+}
+
 // TestConcurrentRanking hammers the server from many goroutines; run with
 // -race this doubles as the data-race check for the shared cache maps.
 func TestConcurrentRanking(t *testing.T) {

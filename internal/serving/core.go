@@ -119,9 +119,9 @@ type Config struct {
 	Retriever *ranking.Retriever
 	// TopK is the returned ranking length (default 10).
 	TopK int
-	// MultiDisc serves with the §4.2 multi-discriminant extension. Multi-disc
-	// requests execute per-request inside the batch cycle (their scoring path
-	// is not packable yet) but share the lifecycle and commit rule.
+	// MultiDisc serves with the §4.2 multi-discriminant extension: each
+	// request's layout carries one discriminant per candidate, and it packs
+	// into the batched forward like any other.
 	MultiDisc bool
 	// DegradedMaxCandidates caps the candidate set served in degraded mode
 	// (default 16).
@@ -516,83 +516,69 @@ func (c *Core) serveBatch(batch []*pending) {
 	wg.Wait()
 	tPlanDone := time.Now()
 
+	// Every request that reaches execution joins one packed forward, so the
+	// batch shares one [tPlanDone, tExecDone) execute window; a request that
+	// failed before it records no execute or commit span.
 	resps := make([]*RankResponse, n)
-	// Per-request execute windows: the packed path shares one
-	// [tPlanDone, tExecDone) phase; multi-disc requests execute serially, so
-	// each gets its own window.
-	execStart := make([]time.Time, n)
-	execEnd := make([]time.Time, n)
-	var entries []CommitEntry
-	if c.cfg.MultiDisc {
-		for i, p := range batch {
-			if errs[i] != nil {
-				continue
-			}
-			execStart[i] = time.Now()
-			resps[i], errs[i] = c.serveMulti(p, plans[i], &entries)
-			execEnd[i] = time.Now()
+	executed := make([]bool, n)
+	items := make([]bipartite.BatchItem, 0, n)
+	cancels := make([]func() error, 0, n)
+	idx := make([]int, 0, n)
+	for i, p := range batch {
+		if errs[i] != nil {
+			continue
 		}
-	} else {
-		items := make([]bipartite.BatchItem, 0, n)
-		cancels := make([]func() error, 0, n)
-		idx := make([]int, 0, n)
-		for i, p := range batch {
-			if errs[i] != nil {
-				continue
-			}
-			layout, err := c.cfg.Ranker.BuildLayout(evalReq(p.req), plans[i].Kind, false)
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			items = append(items, bipartite.BatchItem{Layout: layout, Caches: plans[i].Caches})
-			cancels = append(cancels, p.ctx.Err)
-			idx = append(idx, i)
+		layout, err := c.layout(evalReq(p.req), plans[i].Kind)
+		if err != nil {
+			errs[i] = err
+			continue
 		}
-		runs, rerrs := bipartite.ExecuteBatchCancelable(c.cfg.Ranker.W, items, cancels)
-		for j, i := range idx {
-			if rerrs[j] != nil {
-				errs[i] = rerrs[j]
-				continue
-			}
-			p := batch[i]
-			ranked := c.cfg.Ranker.ScoreDiscriminant(evalReq(p.req), runs[j].Discriminant)
-			resps[i] = c.fullResponse(p.req, plans[i].Kind, runs[j], ranked)
-			entries = append(entries, CommitEntry{Ctx: p.ctx, Req: p.req, Plan: plans[i], Run: runs[j]})
-		}
-		end := time.Now()
-		for _, i := range idx {
-			execStart[i], execEnd[i] = tPlanDone, end
-		}
+		items = append(items, bipartite.BatchItem{Layout: layout, Caches: plans[i].Caches})
+		cancels = append(cancels, p.ctx.Err)
+		idx = append(idx, i)
+		executed[i] = true
 	}
-	tCommit := time.Now()
+	runs, rerrs := bipartite.ExecuteBatchCancelable(c.cfg.Ranker.W, items, cancels)
+	var entries []CommitEntry
+	for j, i := range idx {
+		p := batch[i]
+		var ranked []int
+		if errs[i] = rerrs[j]; errs[i] == nil {
+			ranked, errs[i] = c.cfg.Ranker.Score(evalReq(p.req), runs[j])
+		}
+		if errs[i] != nil {
+			continue
+		}
+		resps[i] = c.fullResponse(p.req, plans[i].Kind, runs[j], ranked)
+		entries = append(entries, CommitEntry{Ctx: p.ctx, Req: p.req, Plan: plans[i], Run: runs[j]})
+	}
+	tExecDone := time.Now()
 	if len(entries) > 0 {
 		c.backend.Commit(entries)
 	}
 	tCommitDone := time.Now()
 	for i, p := range batch {
+		result := "ok"
 		if errs[i] != nil {
+			result = "error"
 			if p.ctx.Err() != nil {
 				c.mu.Lock()
 				c.deadlineAborts++
 				c.mu.Unlock()
 				errs[i] = fmt.Errorf("serving: request canceled: %w", p.ctx.Err())
-				c.recordTrace(p, tBatch, tPlanDone, execStart[i], execEnd[i], tCommit, tCommitDone, n, "canceled")
-			} else {
-				c.recordTrace(p, tBatch, tPlanDone, execStart[i], execEnd[i], tCommit, tCommitDone, n, "error")
+				result = "canceled"
 			}
-			p.done <- outcome{err: errs[i]}
-			continue
 		}
-		c.recordTrace(p, tBatch, tPlanDone, execStart[i], execEnd[i], tCommit, tCommitDone, n, "ok")
-		p.done <- outcome{resp: resps[i]}
+		c.recordTrace(p, tBatch, tPlanDone, tExecDone, tCommitDone, executed[i], n, result)
+		p.done <- outcome{resp: resps[i], err: errs[i]}
 	}
 }
 
 // recordTrace closes out one request's lifecycle spans (queue residency,
-// batch-window residency, plan phase, execute window, commit), folds them
-// into the per-stage histograms, and publishes the trace to the ring.
-func (c *Core) recordTrace(p *pending, tBatch, tPlanDone, execStart, execEnd, commitStart, commitEnd time.Time, batchSize int, result string) {
+// batch-window residency, plan phase, and — for an executed request — the
+// execute window and commit), folds them into the per-stage histograms, and
+// publishes the trace to the ring.
+func (c *Core) recordTrace(p *pending, tBatch, tPlanDone, tExecDone, tCommitDone time.Time, executed bool, batchSize int, result string) {
 	tb := p.tb
 	if tb == nil {
 		return
@@ -603,9 +589,9 @@ func (c *Core) recordTrace(p *pending, tBatch, tPlanDone, execStart, execEnd, co
 		tb.AddSpan(StageWindow, p.deq, tBatch.Sub(p.deq), nil)
 	}
 	tb.AddSpan(StagePlan, tBatch, tPlanDone.Sub(tBatch), nil)
-	if !execStart.IsZero() {
-		tb.AddSpan(StageExecute, execStart, execEnd.Sub(execStart), nil)
-		tb.AddSpan(StageCommit, commitStart, commitEnd.Sub(commitStart), nil)
+	if executed {
+		tb.AddSpan(StageExecute, tPlanDone, tExecDone.Sub(tPlanDone), nil)
+		tb.AddSpan(StageCommit, tExecDone, tCommitDone.Sub(tExecDone), nil)
 	}
 	tr := tb.finish(end, result, batchSize)
 	for _, s := range tr.Spans {
@@ -618,19 +604,17 @@ func (c *Core) recordTrace(p *pending, tBatch, tPlanDone, execStart, execEnd, co
 	c.obs.ring.Add(tr)
 }
 
-func evalReq(req RankRequest) ranking.EvalRequest {
-	return ranking.EvalRequest{User: req.UserID, Candidates: req.CandidateIDs}
+// layout builds one request's layout: §4.2's multi-discriminant form under
+// Config.MultiDisc, else the single-discriminant one.
+func (c *Core) layout(req ranking.EvalRequest, kind bipartite.PrefixKind) (*bipartite.Layout, error) {
+	if c.cfg.MultiDisc {
+		return c.cfg.Ranker.BuildMultiLayout(req, kind)
+	}
+	return c.cfg.Ranker.BuildLayout(req, kind, false)
 }
 
-// serveMulti executes one multi-discriminant request within the batch cycle.
-func (c *Core) serveMulti(p *pending, plan *Plan, entries *[]CommitEntry) (*RankResponse, error) {
-	ranked, run, err := c.cfg.Ranker.RankMulti(evalReq(p.req), plan.Kind,
-		ranking.RankOpts{Caches: plan.Caches, Ctx: p.ctx})
-	if err != nil {
-		return nil, err
-	}
-	*entries = append(*entries, CommitEntry{Ctx: p.ctx, Req: p.req, Plan: plan, Run: run})
-	return c.fullResponse(p.req, plan.Kind, run, ranked), nil
+func evalReq(req RankRequest) ranking.EvalRequest {
+	return ranking.EvalRequest{User: req.UserID, Candidates: req.CandidateIDs}
 }
 
 // fullResponse folds one served request into the counters and builds its

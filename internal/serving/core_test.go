@@ -3,6 +3,7 @@ package serving
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -26,9 +27,28 @@ func (stubBackend) Plan(ctx context.Context, req RankRequest) (*Plan, error) {
 
 func (stubBackend) Commit(entries []CommitEntry) {}
 
+// failPlanBackend is the stub backend with one user whose Plan fails.
+type failPlanBackend struct {
+	stubBackend
+	user int
+}
+
+func (b failPlanBackend) Plan(ctx context.Context, req RankRequest) (*Plan, error) {
+	if req.UserID == b.user {
+		return nil, errors.New("plan failed")
+	}
+	return b.stubBackend.Plan(ctx, req)
+}
+
 // newTestCore wires a small dataset/ranker/retriever under the given
 // lifecycle config and starts a core over the stub backend.
 func newTestCore(t *testing.T, cfg Config) *Core {
+	t.Helper()
+	return newTestCoreOver(t, cfg, stubBackend{})
+}
+
+// newTestCoreOver is newTestCore over the given backend.
+func newTestCoreOver(t *testing.T, cfg Config, backend Backend) *Core {
 	t.Helper()
 	ds, err := ranking.NewDataset(ranking.DatasetConfig{
 		Name: "coretest", Items: 40, Users: 12, Clusters: 4, LatentDim: 8,
@@ -47,7 +67,7 @@ func newTestCore(t *testing.T, cfg Config) *Core {
 		t.Fatal(err)
 	}
 	cfg.Dataset, cfg.Ranker, cfg.Retriever = ds, r, retr
-	c, err := NewCore(cfg, stubBackend{})
+	c, err := NewCore(cfg, backend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,5 +324,64 @@ func TestCoreDedupIdenticalColdUsers(t *testing.T) {
 	}
 	if st.MaxBatchSize < int64(n) {
 		t.Fatalf("max batch size %d, want >= %d", st.MaxBatchSize, n)
+	}
+}
+
+// TestPlanErrorTraceHasNoExecuteSpan guards the trace contract of the one
+// execute window: a request whose Plan fails inside a batch never reaches
+// the packed forward, so its trace records no execute or commit span, while
+// the batch's other requests all record the same execute window.
+func TestPlanErrorTraceHasNoExecuteSpan(t *testing.T) {
+	const n, failing = 4, 2
+	c := newTestCoreOver(t, Config{
+		MaxBatch:     n,
+		WindowPolicy: WindowFixed,
+		BatchWindow:  time.Second, // the fourth arrival closes it
+	}, failPlanBackend{user: failing})
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for u := 0; u < n; u++ {
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			<-start
+			if _, err := c.Rank(testReq(u)); (err != nil) != (u == failing) {
+				t.Errorf("user %d: err = %v", u, err)
+			}
+		}(u)
+	}
+	close(start)
+	wg.Wait()
+
+	traces := c.Observer().Ring().Snapshot(0)
+	if len(traces) != n {
+		t.Fatalf("%d traces, want %d", len(traces), n)
+	}
+	var exec *Span
+	for _, tr := range traces {
+		if tr.BatchSize != n {
+			t.Fatalf("user %d rode a batch of %d, want %d", tr.UserID, tr.BatchSize, n)
+		}
+		spans := map[string]Span{}
+		for _, sp := range tr.Spans {
+			spans[sp.Stage] = sp
+		}
+		_, hasExec := spans[StageExecute]
+		_, hasCommit := spans[StageCommit]
+		if tr.UserID == failing {
+			if tr.Outcome != "error" || hasExec || hasCommit {
+				t.Fatalf("failed plan: outcome %q, execute span %v, commit span %v; want error and neither", tr.Outcome, hasExec, hasCommit)
+			}
+			continue
+		}
+		if tr.Outcome != "ok" || !hasExec || !hasCommit {
+			t.Fatalf("user %d: outcome %q, execute span %v, commit span %v; want ok and both", tr.UserID, tr.Outcome, hasExec, hasCommit)
+		}
+		if sp := spans[StageExecute]; exec == nil {
+			exec = &sp
+		} else if sp.DurMs != exec.DurMs {
+			t.Fatalf("user %d executed for %vms, another for %vms: not one packed forward", tr.UserID, sp.DurMs, exec.DurMs)
+		}
 	}
 }
