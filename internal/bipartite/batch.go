@@ -133,14 +133,12 @@ func ExecuteBatchCancelable(w *model.Weights, items []BatchItem, cancels []func(
 	sufPos := make([]int, 0, totalSuffix)
 	// readRows are the packed suffix rows whose hidden states the runs read;
 	// item i's are readRows[readRange[i][0]:readRange[i][1]].
-	var readRows []int
+	readRows := make([]int, 0, len(alive))
 	readRange := make([][2]int, n)
 	for _, i := range alive {
 		l := items[i].Layout
 		readRange[i][0] = len(readRows)
-		for _, r := range l.readoutRows() {
-			readRows = append(readRows, len(sufTokens)+r-l.PrefixLen)
-		}
+		readRows = l.appendReadoutRows(readRows, len(sufTokens)-l.PrefixLen)
 		readRange[i][1] = len(readRows)
 		sufRange[i][0] = off
 		for t := l.PrefixLen; t < l.Len(); t++ {

@@ -121,6 +121,10 @@ type Layout struct {
 
 	// seg[i] is the index into Segments owning token i.
 	seg []int
+	// discs holds each per-item discriminant's absolute index, in candidate
+	// order, as addSegment records them; nil for a single-discriminant
+	// layout.
+	discs []int
 }
 
 // Build constructs the layout for a prompt under the given prefix kind.
@@ -211,14 +215,13 @@ func (l *Layout) addSegment(kind SegmentKind, item int, tokens []int, posStart i
 		l.Pos = append(l.Pos, posStart+off)
 		l.seg = append(l.seg, segIdx)
 	}
+	if kind == SegDisc {
+		l.discs = append(l.discs, len(l.Tokens)-1)
+	}
 }
 
 // Len returns the total token count.
 func (l *Layout) Len() int { return len(l.Tokens) }
-
-// DiscriminantIndex returns the absolute index of the discriminant token —
-// the last instruction token, whose logits rank the candidates.
-func (l *Layout) DiscriminantIndex() int { return len(l.Tokens) - 1 }
 
 // SegmentOf returns the segment owning absolute token index i.
 func (l *Layout) SegmentOf(i int) Segment { return l.Segments[l.seg[i]] }

@@ -84,8 +84,8 @@ func TestUserPrefixLayoutShape(t *testing.T) {
 	if instr.Kind != SegInstr || instr.PosStart != 5+2 {
 		t.Fatalf("instr segment %+v", instr)
 	}
-	if l.DiscriminantIndex() != l.Len()-1 {
-		t.Fatal("discriminant must be last token")
+	if rows := l.appendReadoutRows(nil, 0); len(rows) != 1 || rows[0] != l.Len()-1 {
+		t.Fatalf("readout rows %v: the discriminant must be the last token, %d", rows, l.Len()-1)
 	}
 }
 
@@ -122,9 +122,9 @@ func TestLayoutsShareTotalPositionBudget(t *testing.T) {
 	p := testPrompt(rng, 7, 4, 3, 2)
 	up, _ := Build(UserPrefix, p)
 	ip, _ := Build(ItemPrefix, p)
-	if up.Pos[up.DiscriminantIndex()] != ip.Pos[ip.DiscriminantIndex()] {
+	if up.Pos[up.Len()-1] != ip.Pos[ip.Len()-1] {
 		t.Fatalf("discriminant positions differ: UP %d vs IP %d",
-			up.Pos[up.DiscriminantIndex()], ip.Pos[ip.DiscriminantIndex()])
+			up.Pos[up.Len()-1], ip.Pos[ip.Len()-1])
 	}
 }
 

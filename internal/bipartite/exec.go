@@ -108,11 +108,15 @@ func Scores(w *model.Weights, run *Run, candTokens []int) ([]float32, error) {
 	}
 }
 
-// readoutRows returns the layout indices whose hidden states a run reads:
-// each candidate's discriminant for a multi-disc layout, else the last token.
-func (l *Layout) readoutRows() []int {
-	if rows := l.DiscriminantIndices(); rows != nil {
-		return rows
+// appendReadoutRows appends to dst, each shifted by off, the layout indices
+// whose hidden states a run reads: each candidate's discriminant for a
+// multi-disc layout, else the last token.
+func (l *Layout) appendReadoutRows(dst []int, off int) []int {
+	if l.discs == nil {
+		return append(dst, off+l.Len()-1)
 	}
-	return []int{l.Len() - 1}
+	for _, r := range l.discs {
+		dst = append(dst, off+r)
+	}
+	return dst
 }

@@ -1,6 +1,9 @@
 package bipartite
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Multi-discriminant layouts implement §4.2's extension: "our mechanism can
 // be extended to multiple tokens by applying attention to them, e.g., one
@@ -68,15 +71,7 @@ func BuildMultiDisc(kind PrefixKind, p Prompt) (*Layout, error) {
 // DiscriminantIndices returns the absolute token index of each candidate's
 // discriminant, in candidate order. It returns nil for single-discriminant
 // layouts.
-func (l *Layout) DiscriminantIndices() []int {
-	var out []int
-	for _, s := range l.Segments {
-		if s.Kind == SegDisc {
-			out = append(out, s.Start+s.Len-1)
-		}
-	}
-	return out
-}
+func (l *Layout) DiscriminantIndices() []int { return slices.Clone(l.discs) }
 
 // multiDiscMask extends the layout mask: discriminant i sees the user, item
 // i, and itself — never other items or other discriminants, so candidate

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bat/internal/model"
@@ -68,6 +69,40 @@ func readoutCases(t *testing.T, w *model.Weights) []readoutCase {
 		}
 	}
 	return out
+}
+
+// TestAppendReadoutRowsRecordedAllocFree pins the readout rows a layout
+// records while it is built to a walk of its segments — each per-item
+// discriminant's last token in candidate order, else the layout's last token
+// — and pins that appending them, shifted into a packed batch, allocates
+// nothing once dst has room: the packing loop runs it once per request.
+func TestAppendReadoutRowsRecordedAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, kind := range []PrefixKind{UserPrefix, ItemPrefix} {
+		for _, build := range []func(PrefixKind, Prompt) (*Layout, error){Build, BuildMultiDisc} {
+			l, err := build(kind, testPrompt(rng, 6, 5, 2, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []int
+			for _, s := range l.Segments {
+				if s.Kind == SegDisc {
+					want = append(want, 9+s.Start+s.Len-1)
+				}
+			}
+			if want == nil {
+				want = []int{9 + l.Len() - 1}
+			}
+			got := l.appendReadoutRows([]int{-1}, 9)
+			if !slices.Equal(got[1:], want) || got[0] != -1 {
+				t.Fatalf("%v, %d segments: readout rows %v, segment walk %v", kind, len(l.Segments), got, want)
+			}
+			dst := make([]int, 0, 16)
+			if a := testing.AllocsPerRun(100, func() { dst = l.appendReadoutRows(dst[:0], 9) }); a != 0 {
+				t.Fatalf("%v, %d segments: appending readout rows allocated %v objects", kind, len(l.Segments), a)
+			}
+		}
+	}
 }
 
 // TestRunHiddenIsReadoutRows pins Run.Hidden as exactly the rows a run reads

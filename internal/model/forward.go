@@ -124,7 +124,7 @@ func (w *Weights) ForwardRows(tokens, pos []int, mask Mask, cache *KVCache, rows
 		rmsNormRows(&s.normed, h, lw.attnNorm, cfg.eps())
 		tensor.MatMul(&s.k, &s.normed, lw.wk)
 		tensor.MatMul(&s.v, &s.normed, lw.wv)
-		w.ropeRows(&s.k, cfg.KVHeads, pos)
+		w.ropeRows(&s.k, pos)
 		for i := 0; i < n; i++ {
 			cache.appendToken(l, s.k.Row(i), s.v.Row(i))
 		}
@@ -147,7 +147,7 @@ func (w *Weights) ForwardRows(tokens, pos []int, mask Mask, cache *KVCache, rows
 			vis.lower(mask, base, n, rows)
 		}
 		tensor.MatMul(&qs.q, qIn, lw.wq)
-		w.ropeRows(&qs.q, cfg.Heads, qPos)
+		w.ropeRows(&qs.q, qPos)
 		w.attend(qs, cache, l, base, n, vis)
 		tensor.MatMul(&qs.proj, &qs.attnOut, lw.wo)
 		addRows(h, &qs.proj)
@@ -161,10 +161,7 @@ func (w *Weights) ForwardRows(tokens, pos []int, mask Mask, cache *KVCache, rows
 		addRows(h, &qs.proj)
 	}
 
-	for i := 0; i < h.Rows; i++ {
-		row := h.Row(i)
-		tensor.RMSNorm(row, row, w.finalNorm, cfg.eps())
-	}
+	tensor.RMSNormRows(h.Data, h.Data, w.finalNorm, cfg.eps())
 	return h
 }
 
@@ -274,15 +271,12 @@ const rowBlock = 32
 // rmsNormRows normalizes every row of src into dst.
 func rmsNormRows(dst, src *tensor.Matrix, weight []float32, eps float32) {
 	if src.Rows*src.Cols < 1<<14 {
-		for i := 0; i < src.Rows; i++ {
-			tensor.RMSNorm(dst.Row(i), src.Row(i), weight, eps)
-		}
+		tensor.RMSNormRows(dst.Data, src.Data, weight, eps)
 		return
 	}
+	c := src.Cols
 	tensor.ParallelBlocks(src.Rows, rowBlock, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			tensor.RMSNorm(dst.Row(i), src.Row(i), weight, eps)
-		}
+		tensor.RMSNormRows(dst.Data[lo*c:hi*c], src.Data[lo*c:hi*c], weight, eps)
 	})
 }
 
@@ -303,23 +297,17 @@ func swiGLURows(gate, up *tensor.Matrix) {
 // token's position pos[i]. sin/cos come from the weights' precomputed
 // frequency table; rows are independent, so the pass fans out on the pool
 // when the sincos work is worth it.
-func (w *Weights) ropeRows(m *tensor.Matrix, heads int, pos []int) {
-	hd := w.cfg.HeadDim
-	rotate := func(i int) {
-		for hh := 0; hh < heads; hh++ {
-			w.rope.Rotate(m.Row(i)[hh*hd:(hh+1)*hd], pos[i])
-		}
-	}
+func (w *Weights) ropeRows(m *tensor.Matrix, pos []int) {
 	n := len(pos)
-	if n*heads*hd < 1<<14 {
+	if n*m.Cols < 1<<14 {
 		for i := 0; i < n; i++ {
-			rotate(i)
+			w.rope.RotateHeads(m.Row(i), pos[i])
 		}
 		return
 	}
 	tensor.ParallelBlocks(n, rowBlock, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			rotate(i)
+			w.rope.RotateHeads(m.Row(i), pos[i])
 		}
 	})
 }

@@ -40,17 +40,19 @@ func BenchmarkScalarMAC(b *testing.B) {
 	reportMACs(b, 4*len(x))
 }
 
+// benchFill returns n values drawn from rng, uniform in [-0.5, 0.5).
+func benchFill(rng *rand.Rand, n int) []float32 {
+	v := make([]float32, n)
+	for i := range v {
+		v[i] = rng.Float32() - 0.5
+	}
+	return v
+}
+
 // benchSlab is a served-shape KV slab: 384 rows of 32 floats, L2-resident.
 func benchSlab() (q, rows, coef []float32) {
 	rng := rand.New(rand.NewSource(2))
-	fill := func(n int) []float32 {
-		v := make([]float32, n)
-		for i := range v {
-			v[i] = rng.Float32() - 0.5
-		}
-		return v
-	}
-	return fill(32), fill(384 * 32), fill(384)
+	return benchFill(rng, 32), benchFill(rng, 384*32), benchFill(rng, 384)
 }
 
 // BenchmarkDotRows is the attention score kernel on its own.
@@ -63,15 +65,56 @@ func BenchmarkDotRows(b *testing.B) {
 	reportMACs(b, len(rows))
 }
 
-// BenchmarkAxpyRows is the attention value mix (and GEMM panel fold) kernel
-// on its own.
+// BenchmarkAxpyRows is the fold kernel on its own at the three shapes the
+// engine calls it with:
+//   - Served: one output row of the served model's K/V GEMM, 32
+//     coefficients (the hidden width) over 32 columns;
+//   - Fold: the served attention value mix, 384 keys over one 32-wide head;
+//   - BenchGR: one output row of a BenchGR FFN GEMM panel, 256 coefficients
+//     over 1024 columns.
 func BenchmarkAxpyRows(b *testing.B) {
-	out, rows, coef := benchSlab()
+	for _, sh := range []struct {
+		name       string
+		coef, cols int
+	}{{"Served", 32, 32}, {"Fold", 384, 32}, {"BenchGR", 256, 1024}} {
+		b.Run(sh.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(2))
+			out, rows, coef := benchFill(rng, sh.cols), benchFill(rng, sh.coef*sh.cols), benchFill(rng, sh.coef)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clear(out)
+				AxpyRows(out, coef, rows, sh.cols)
+			}
+			macSink = out[0]
+			reportMACs(b, len(rows))
+		})
+	}
+}
+
+// BenchmarkRoPERows rotates 128 rows of one 32-wide head at ascending
+// memoized positions, the served model's K rotation for a 128-token prefix.
+func BenchmarkRoPERows(b *testing.B) {
+	const n, dim = 128, 32
+	tab := NewRoPETable(dim, 10000)
+	m := benchFill(rand.New(rand.NewSource(3)), n*dim)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clear(out)
-		AxpyRows(out, coef, rows, len(out))
+		for r := 0; r < n; r++ {
+			tab.RotateHeads(m[r*dim:(r+1)*dim], r)
+		}
 	}
-	macSink = out[0]
-	reportMACs(b, len(rows))
+	macSink = m[0]
+}
+
+// BenchmarkRMSNormRows normalizes 128 rows of the served hidden width 32.
+func BenchmarkRMSNormRows(b *testing.B) {
+	const n, dim = 128, 32
+	rng := rand.New(rand.NewSource(4))
+	src, weight := benchFill(rng, n*dim), benchFill(rng, dim)
+	dst := make([]float32, n*dim)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		RMSNormRows(dst, src, weight, 1e-5)
+	}
+	macSink = dst[0]
 }

@@ -165,11 +165,34 @@ func dotTile(q, rows []float32, stride int) (s0, s1, s2, s3 float32) {
 
 // AxpyRows folds consecutive rows of a strided slab into dst: for ascending
 // j, dst += coef[j] * rows[j*stride:j*stride+len(dst)], skipping rows whose
-// coefficient is zero. A tile's rows are added to each element in ascending
-// j before it is stored, which is the order a row-at-a-time fold produces; a
-// tile holding a zero coefficient takes the row-at-a-time step so the skip
-// (a zero coefficient never meets an Inf or NaN row) is preserved.
+// coefficient is zero (so a zero coefficient never meets an Inf or NaN row).
+//
+// With AVX2 the columns up to the last multiple of 8 take one call into
+// axpyRowsAVX2, which keeps a block of dst in registers across every row;
+// the rest take axpyRowsGo. Both add each row's rounded product to each
+// element in ascending j, so the result is bit-identical either way.
 func AxpyRows(dst, coef, rows []float32, stride int) {
+	n := 0
+	if useAVX2 && len(dst) >= 8 && len(coef) > 0 {
+		if stride < 0 || (len(coef)-1)*stride+len(dst) > len(rows) {
+			panic(fmt.Sprintf("tensor: AxpyRows slab of %d floats too short for %d rows of %d at stride %d",
+				len(rows), len(coef), len(dst), stride))
+		}
+		n = len(dst) &^ 7
+		axpyRowsAVX2(dst[:n], coef, rows, stride)
+		if n == len(dst) {
+			return
+		}
+	}
+	axpyRowsGo(dst[n:], coef, rows[n:], stride)
+}
+
+// axpyRowsGo is AxpyRows in Go: the fallback off amd64 and for the columns
+// past the vector kernel's last block. A tile's rows are added to each
+// element in ascending j before it is stored, which is the order a
+// row-at-a-time fold produces; a tile holding a zero coefficient takes the
+// row-at-a-time step so the skip is preserved.
+func axpyRowsGo(dst, coef, rows []float32, stride int) {
 	j := 0
 	for ; j+rowTile <= len(coef); j += rowTile {
 		c0, c1, c2, c3 := coef[j], coef[j+1], coef[j+2], coef[j+3]
@@ -336,7 +359,53 @@ func RMSNorm(dst, src, weight []float32, eps float32) {
 	for _, v := range src {
 		ss += float64(v) * float64(v)
 	}
+	rmsScale(dst, src, weight, ss, eps)
+}
+
+// RMSNormRows is RMSNorm over each row of src, len(weight) columns wide,
+// into the same row of dst. dst, src and weight obey RMSNorm's rules per
+// row. Four rows run side by side, each summing its squares in ascending
+// index into its own float64, so every row's bits equal RMSNorm's; the four
+// independent add chains are what make it faster than one row at a time.
+func RMSNormRows(dst, src, weight []float32, eps float32) {
+	c := len(weight)
+	if len(dst) != len(src) || (len(src) > 0 && (c == 0 || len(src)%c != 0)) {
+		panic("tensor: rmsnorm rows length mismatch")
+	}
+	if len(src) == 0 {
+		return
+	}
+	rows := len(src) / c
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		s0 := src[r*c:][:c]
+		s1 := src[(r+1)*c:][:c]
+		s2 := src[(r+2)*c:][:c]
+		s3 := src[(r+3)*c:][:c]
+		var ss0, ss1, ss2, ss3 float64
+		for i, v := range s0 {
+			v1, v2, v3 := s1[i], s2[i], s3[i]
+			ss0 += float64(v) * float64(v)
+			ss1 += float64(v1) * float64(v1)
+			ss2 += float64(v2) * float64(v2)
+			ss3 += float64(v3) * float64(v3)
+		}
+		rmsScale(dst[r*c:][:c], s0, weight, ss0, eps)
+		rmsScale(dst[(r+1)*c:][:c], s1, weight, ss1, eps)
+		rmsScale(dst[(r+2)*c:][:c], s2, weight, ss2, eps)
+		rmsScale(dst[(r+3)*c:][:c], s3, weight, ss3, eps)
+	}
+	for ; r < rows; r++ {
+		RMSNorm(dst[r*c:][:c], src[r*c:][:c], weight, eps)
+	}
+}
+
+// rmsScale is RMSNorm's second pass: dst = src * inv * weight, with inv from
+// the row's sum of squares ss.
+func rmsScale(dst, src, weight []float32, ss float64, eps float32) {
 	inv := float32(1 / math.Sqrt(ss/float64(len(src))+float64(eps)))
+	weight = weight[:len(src)]
+	dst = dst[:len(src)]
 	for i, v := range src {
 		dst[i] = v * inv * weight[i]
 	}
@@ -393,13 +462,7 @@ func (t *RoPETable) Rotate(v []float32, pos int) {
 		panic(fmt.Sprintf("tensor: RoPE head dim %d, table built for %d", len(v), t.dim))
 	}
 	if pos >= 0 && pos < maxRoPEMemoPos {
-		row := t.memoRow(pos)
-		for i := range t.invFreq {
-			cos, sin := row[2*i], row[2*i+1]
-			a, b := v[2*i], v[2*i+1]
-			v[2*i] = a*cos - b*sin
-			v[2*i+1] = a*sin + b*cos
-		}
+		rotatePairs(v, t.memoRow(pos))
 		return
 	}
 	fp := float64(pos)
@@ -408,6 +471,48 @@ func (t *RoPETable) Rotate(v []float32, pos int) {
 		a, b := v[2*i], v[2*i+1]
 		v[2*i] = a*float32(cos) - b*float32(sin)
 		v[2*i+1] = a*float32(sin) + b*float32(cos)
+	}
+}
+
+// RotateHeads rotates each head of row, a whole number of the table's
+// dimension, for position pos, in place: Rotate applied head by head. Where
+// AVX2 is available the memoized positions rotate eight floats a pass, with
+// the same two rounded products and one rounded sum per element as Rotate,
+// so the bits are Rotate's. Rotate itself stays scalar: it is what
+// ForwardReference rotates with.
+func (t *RoPETable) RotateHeads(row []float32, pos int) {
+	if len(row)%t.dim != 0 {
+		panic(fmt.Sprintf("tensor: RoPE row of %d floats is not whole heads of %d", len(row), t.dim))
+	}
+	if pos < 0 || pos >= maxRoPEMemoPos {
+		for h := 0; h < len(row); h += t.dim {
+			t.Rotate(row[h:h+t.dim], pos)
+		}
+		return
+	}
+	cs := t.memoRow(pos)
+	n := 0 // floats per head the vector kernel rotates
+	if useAVX2 {
+		n = t.dim &^ 7
+	}
+	for h := 0; h < len(row); h += t.dim {
+		v := row[h : h+t.dim]
+		if n > 0 {
+			ropeRowAVX2(v[:n], cs)
+		}
+		rotatePairs(v[n:], cs[n:])
+	}
+}
+
+// rotatePairs rotates each pair (v[i], v[i+1]) by the memo pair
+// (cos, sin) = (cs[i], cs[i+1]).
+func rotatePairs(v, cs []float32) {
+	cs = cs[:len(v)]
+	for i := 1; i < len(v); i += 2 {
+		cos, sin := cs[i-1], cs[i]
+		a, b := v[i-1], v[i]
+		v[i-1] = a*cos - b*sin
+		v[i] = a*sin + b*cos
 	}
 }
 
