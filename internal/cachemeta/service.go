@@ -55,15 +55,32 @@ func (s *Service) Window() float64 { return s.window }
 // time-independent form count·e^(now/W). Because every entry decays at the
 // same exponential rate, normalized values compare correctly at any later
 // time without touching stored state — this is how the paper's
-// "asynchronously decayed" per-entry estimates are kept orderable inside
-// the cache worker's min-hotness heap. The exponent is clamped so traces
-// hundreds of windows long cannot overflow.
+// "asynchronously decayed" per-entry estimates stay orderable inside
+// kvcache.Pool's min-hotness eviction heap, which the discrete-event
+// simulator (internal/cluster) fills with normalized values. The exponent
+// is clamped at 600 so traces hundreds of windows long cannot overflow;
+// past 600 windows (50 h at the 300-s default window) every fresh value
+// saturates at the same scale and the order is lost. OrderKey keeps the
+// same order in log form with no clamp, which is why internal/server's
+// resident-user heap is keyed by it.
 func (s *Service) Normalize(hotness, now float64) float64 {
 	e := now / s.window
 	if e > 600 {
 		e = 600
 	}
 	return hotness * math.Exp(e)
+}
+
+// OrderKey returns k's stored estimate in the time-independent log form
+// ln(count) + last/W. The hotness at any time t ≥ last is e^(key − t/W), so
+// keys order entries as their hotness does at every later time, and a key
+// changes only when its entry is accessed. Unknown keys are cold (−Inf).
+func (s *Service) OrderKey(k kvcache.EntryKey) float64 {
+	st, ok := s.freq[k]
+	if !ok {
+		return math.Inf(-1)
+	}
+	return math.Log(st.count) + st.last/s.window
 }
 
 // RecordAccess notes an access to key at time now (seconds) and returns the

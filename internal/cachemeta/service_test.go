@@ -76,6 +76,41 @@ func TestHotnessMonotoneInTimeSinceAccess(t *testing.T) {
 	}
 }
 
+// TestOrderKeyOrdersLikeHotness: keys order entries as their decayed
+// hotness does at any later time, including past the 600 windows where
+// Normalize's clamp has made every fresh value the same scale.
+func TestOrderKeyOrdersLikeHotness(t *testing.T) {
+	s := New(1)
+	if !math.IsInf(s.OrderKey(uk(9)), -1) {
+		t.Fatal("unknown key should order coldest")
+	}
+	s.RecordAccess(uk(1), 650)
+	s.RecordAccess(uk(1), 650)
+	s.RecordAccess(uk(2), 700)
+	s.RecordAccess(uk(3), 0)
+	for i := 0; i < 20; i++ {
+		s.RecordAccess(uk(3), 1500+float64(i))
+	}
+	keys := []kvcache.EntryKey{uk(1), uk(2), uk(3)}
+	for _, now := range []float64{1520, 1600, 2500} {
+		for _, a := range keys {
+			for _, b := range keys {
+				if s.OrderKey(a) < s.OrderKey(b) && s.Hotness(a, now) > s.Hotness(b, now) {
+					t.Fatalf("t=%v: key orders %v below %v but it is hotter", now, a, b)
+				}
+			}
+		}
+	}
+	// User 2 (one access at t=700) is hotter than user 1 (two at t=650) from
+	// t=700 on; the clamped normalized values say the opposite.
+	if s.OrderKey(uk(2)) <= s.OrderKey(uk(1)) {
+		t.Fatal("OrderKey lost the order past 600 windows")
+	}
+	if s.Normalize(1, 700) >= s.Normalize(2, 650) {
+		t.Fatal("Normalize's clamp no longer saturates at 600 windows; revisit its doc")
+	}
+}
+
 func TestRecordAccessReturnsEstimate(t *testing.T) {
 	s := New(300)
 	if got := s.RecordAccess(uk(1), 0); got != 1 {

@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"bat/internal/model"
 	"bat/internal/ranking"
 	"bat/internal/scheduler"
+	"bat/internal/serving"
 )
 
 // BenchmarkServeBatched measures end-to-end request throughput through the
@@ -78,5 +80,59 @@ func BenchmarkServeBatched(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(s.Stats().AvgBatchSize, "reqs/batch")
 		})
+	}
+}
+
+// BenchmarkLocalPlanCommit measures the local pool's own work per batch on
+// local_burst_batch's shape: 256 resident users and 2,000 precomputed items,
+// one op being 8 plans (a burst) plus one commit that admits a new user,
+// evicting the coldest. No forward runs; the caches are placeholders.
+func BenchmarkLocalPlanCommit(b *testing.B) {
+	const residents, items, burst = 256, 2000, 8
+	ds, err := ranking.NewDataset(ranking.DatasetConfig{
+		Name: "bench", Items: items, Users: 4 * residents, Clusters: 8, LatentDim: 8,
+		HistoryMin: 32, HistoryMax: 96, ItemAttrTokens: 2,
+		ClusterNoise: 0.15, Candidates: 16, HardNegatives: 2, Seed: 9,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Dataset: ds, MaxUserCaches: residents, HotnessWindowSec: 300, Policy: scheduler.HotnessAware{}, Now: time.Now}
+	be := newLocalBackend(&cfg)
+	for i := 0; i < items; i++ {
+		be.items[i] = &model.KVCache{}
+		be.itemLRU = append(be.itemLRU, i)
+	}
+	var warm []serving.CommitEntry
+	for u := 0; u < residents; u++ {
+		be.meta.RecordAccess(userEntry(u), 0)
+		warm = append(warm, admitEntry(u, u))
+	}
+	be.Commit(warm)
+
+	rng := rand.New(rand.NewSource(9))
+	reqs := make([]RankRequest, 1024)
+	for i := range reqs {
+		cands := make([]int, 16)
+		for j := range cands {
+			cands[j] = rng.Intn(items)
+		}
+		reqs[i] = RankRequest{UserID: rng.Intn(residents), CandidateIDs: cands}
+	}
+	ctx := context.Background()
+	next := residents
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < burst; j++ {
+			if _, err := be.Plan(ctx, reqs[(i*burst+j)%len(reqs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		// The newcomer was just planned, as an admitted user always is.
+		be.metaMu.Lock()
+		be.meta.RecordAccess(userEntry(next%len(ds.UserHistory)), cfg.Now().Sub(be.start).Seconds())
+		be.metaMu.Unlock()
+		be.Commit([]serving.CommitEntry{admitEntry(next%len(ds.UserHistory), next%items)})
+		next++
 	}
 }

@@ -62,7 +62,7 @@ func equalInts(a, b []int) bool {
 // TestServerParallelRankBitIdentical: N requests fired concurrently — so
 // the batch loop coalesces them into packed multi-request executions — must
 // return exactly the rankings the per-request path produces. Run under
-// -race this also proves the RCU snapshot plan/commit split is clean.
+// -race this also proves the read-locked plan / in-place commit split is clean.
 func TestServerParallelRankBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name   string

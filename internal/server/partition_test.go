@@ -32,7 +32,7 @@ func TestStaticModeUnchanged(t *testing.T) {
 }
 
 // TestItemCapEvictsInAdmissionOrder bounds the item class and checks eviction
-// keeps the snapshot at the cap.
+// keeps the pool at the cap.
 func TestItemCapEvictsInAdmissionOrder(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.MaxItemCaches = 5 })
 	defer s.Close()

@@ -4,11 +4,15 @@
 // a hotness-aware prefix decision per request, and a JSON API. It is a thin
 // adapter over the shared serving core (internal/serving), which owns the
 // request lifecycle and the continuous-batching loop; the server's job is
-// HTTP parsing plus the local cache backend: lock-free snapshot reads at
-// plan time, serial admissions/evictions at batch boundaries.
+// HTTP parsing plus the local cache backend: plans read the pool under a
+// read lock, and each batch's admissions and evictions are made in place at
+// its boundary. Resident users sit in a min-heap ordered by hotness, so the
+// scheduler's coldest-resident signal and coldest-first user eviction cost
+// O(log users), not a scan of the pool.
 package server
 
 import (
+	"container/heap"
 	"context"
 	"fmt"
 	"net/http"
@@ -40,6 +44,8 @@ type Config struct {
 	Dataset *ranking.Dataset
 	Variant ranking.ModelVariant
 	// MaxUserCaches caps the user-cache entries held in memory (default 256).
+	// Admitting a user past the cap evicts the coldest resident user by
+	// decayed hotness (§5.3's min_{p∈C_u} f_p), not the oldest admission.
 	MaxUserCaches int
 	// MaxItemCaches caps the item-cache entries held in memory (0 =
 	// unbounded, the historical behavior). Items beyond the cap are evicted
@@ -134,17 +140,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	be := &localBackend{
-		cfg:   &cfg,
-		meta:  cachemeta.New(cfg.HotnessWindowSec),
-		start: cfg.Now(),
-	}
-	be.userBudget.Store(int64(cfg.MaxUserCaches))
-	be.itemBudget.Store(int64(cfg.MaxItemCaches))
-	state := &localState{
-		items: make(map[int]*model.KVCache),
-		users: make(map[int]*model.KVCache),
-	}
+	be := newLocalBackend(&cfg)
 	if cfg.PrecomputeItems {
 		// Item caches are independent forwards, so build them across the
 		// tensor worker pool, each into its own slot. Same caches as the
@@ -154,11 +150,10 @@ func New(cfg Config) (*Server, error) {
 			items[i] = bipartite.ComputeItemCache(r.W, cfg.Dataset.ItemTokens[i])
 		})
 		for i, c := range items {
-			state.items[i] = c
-			state.itemLRU = append(state.itemLRU, i)
+			be.items[i] = c
+			be.itemLRU = append(be.itemLRU, i)
 		}
 	}
-	be.snap.Store(state)
 	core, err := serving.NewCore(serving.Config{
 		Dataset:               cfg.Dataset,
 		Ranker:                r,
@@ -176,10 +171,10 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Scrape-time gauges for the local cache pool (lock-free snapshot reads).
+	// Scrape-time gauges for the local cache pool.
 	reg := core.Observer().Registry()
-	reg.GaugeFunc("bat_item_cache_entries", func() float64 { return float64(len(be.snap.Load().items)) })
-	reg.GaugeFunc("bat_user_cache_entries", func() float64 { return float64(len(be.snap.Load().users)) })
+	reg.GaugeFunc("bat_item_cache_entries", func() float64 { n, _ := be.sizes(); return float64(n) })
+	reg.GaugeFunc("bat_user_cache_entries", func() float64 { _, n := be.sizes(); return float64(n) })
 	srv := &Server{cfg: cfg, core: core, be: be}
 	if mode == partition.Adaptive {
 		ctrl, err := partition.New(partition.Config{Interval: cfg.PartitionInterval},
@@ -296,7 +291,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // Stats snapshots the serving counters (the /v1/stats payload).
 func (s *Server) Stats() StatsResponse {
 	cs := s.core.Stats()
-	state := s.be.snap.Load()
+	items, users := s.be.sizes()
 	resp := StatsResponse{
 		Requests:         cs.Requests,
 		UserPrefix:       cs.UserPrefix,
@@ -304,8 +299,8 @@ func (s *Server) Stats() StatsResponse {
 		ReusedTokens:     cs.ReusedTokens,
 		ComputedTokens:   cs.ComputedTokens,
 		DedupedTokens:    cs.DedupedTokens,
-		ItemCacheEntries: len(state.items),
-		UserCacheEntries: len(state.users),
+		ItemCacheEntries: items,
+		UserCacheEntries: users,
 		Admission:        cs.Admission,
 		DegradedRequests: cs.DegradedRequests,
 		DeadlineAborts:   cs.DeadlineAborts,
@@ -321,24 +316,27 @@ func (s *Server) Stats() StatsResponse {
 	return resp
 }
 
-// itemCacheCount and userCacheCount read the current snapshot (tests).
-func (s *Server) itemCacheCount() int { return len(s.be.snap.Load().items) }
-func (s *Server) userCacheCount() int { return len(s.be.snap.Load().users) }
-
-// localState is one immutable cache-pool snapshot: plans read it lock-free;
-// commits replace it wholesale at batch boundaries (RCU style).
-type localState struct {
-	items   map[int]*model.KVCache
-	users   map[int]*model.KVCache
-	userLRU []int // oldest first; small cap keeps O(n) fine
-	itemLRU []int // admission order, oldest first (used when items are capped)
-}
+// itemCacheCount and userCacheCount read the pool's sizes (tests).
+func (s *Server) itemCacheCount() int { n, _ := s.be.sizes(); return n }
+func (s *Server) userCacheCount() int { _, n := s.be.sizes(); return n }
 
 // localBackend is the in-process cache pool behind the serving core.
+//
+// The serving core calls Commit only after every plan of its batch has
+// returned, and never runs two batches at once, so the pool is mutated in
+// place: plans read it under mu's read lock, Commit writes it under the
+// write lock, and the lock also orders both against /v1/stats and /metrics
+// readers. A plan hands out cache pointers, never the maps, and an evicted
+// cache is simply dropped: an execution still holding it keeps a valid
+// cache until the garbage collector takes it.
 type localBackend struct {
 	cfg   *Config
 	start time.Time
-	snap  atomic.Pointer[localState]
+
+	mu      sync.RWMutex
+	items   map[int]*model.KVCache
+	users   map[int]*residentUser
+	itemLRU []int // admission order, oldest first (used when items are capped)
 
 	// Per-class entry budgets. Static mode pins them at the configured
 	// Max*Caches; adaptive mode re-divides them from the controller's tick
@@ -347,16 +345,48 @@ type localBackend struct {
 	itemBudget atomic.Int64 // 0 = unbounded (static only)
 
 	// Token-weighted per-class hit/miss counters: the marginal-utility
-	// signal. Counted at plan time against the snapshot the plan used.
+	// signal. Counted at plan time against the pool the plan read.
 	userHitTokens  atomic.Int64
 	userMissTokens atomic.Int64
 	itemHitTokens  atomic.Int64
 	itemMissTokens atomic.Int64
 
 	// metaMu guards the hotness estimator (cachemeta.Service is not safe for
-	// concurrent use; concurrent Plan calls serialize only this small part).
+	// concurrent use) and cold, the resident users ordered coldest first.
+	// Concurrent plans serialize only on this small part. Lock order: mu,
+	// then metaMu.
 	metaMu sync.Mutex
 	meta   *cachemeta.Service
+	cold   userHeap
+}
+
+// residentUser is one cached user prefix. cache is fixed at admission; key
+// and idx belong to the cold heap and change only under metaMu.
+type residentUser struct {
+	id    int
+	cache *model.KVCache
+	key   float64 // meta.OrderKey at the user's last access
+	idx   int     // position in the cold heap
+}
+
+func newLocalBackend(cfg *Config) *localBackend {
+	b := &localBackend{
+		cfg:   cfg,
+		start: cfg.Now(),
+		items: make(map[int]*model.KVCache),
+		users: make(map[int]*residentUser),
+		meta:  cachemeta.New(cfg.HotnessWindowSec),
+	}
+	b.userBudget.Store(int64(cfg.MaxUserCaches))
+	b.itemBudget.Store(int64(cfg.MaxItemCaches))
+	return b
+}
+
+// sizes reports the resident item and user cache counts.
+func (b *localBackend) sizes() (items, users int) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return len(b.items), len(b.users)
 }
 
 func (b *localBackend) userClassStats() partition.ClassStats {
@@ -378,49 +408,30 @@ func (b *localBackend) setBudget(budget *atomic.Int64, n int64) int64 {
 	return n
 }
 
-// Plan decides one request's prefix organization from the current snapshot.
+// Plan decides one request's prefix organization from the current pool.
 // It runs concurrently with the other plans of the batch and mutates nothing
-// but the (mutex-guarded) hotness estimator.
+// but the (metaMu-guarded) hotness estimator and cold heap.
 func (b *localBackend) Plan(ctx context.Context, req serving.RankRequest) (*serving.Plan, error) {
 	ds := b.cfg.Dataset
-	state := b.snap.Load()
-	now := b.cfg.Now().Sub(b.start).Seconds()
-	userKey := kvcache.EntryKey{Kind: kvcache.UserEntry, ID: uint64(req.UserID)}
-	b.metaMu.Lock()
-	hotness := b.meta.RecordAccess(userKey, now)
-	minHot := b.minUserHotness(state, now)
-	b.metaMu.Unlock()
-
-	userTokens := len(ds.UserHistory[req.UserID])
-	itemTokens := 0
-	for _, it := range req.CandidateIDs {
-		itemTokens += len(ds.ItemTokens[it])
-	}
-	_, cached := state.users[req.UserID]
-	dec := b.cfg.Policy.Decide(scheduler.Context{
-		UserTokens:           userTokens,
-		ItemTokens:           itemTokens,
-		UserHotness:          hotness,
-		UserCached:           cached,
-		UserPoolHasSpace:     int64(len(state.users)) < b.userBudget.Load(),
-		MinCachedHotness:     minHot,
-		HaveMinCachedHotness: len(state.users) > 0,
-	})
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	sc := b.schedContext(req)
+	dec := b.cfg.Policy.Decide(sc)
 
 	plan := &serving.Plan{Kind: dec.Kind, Recompute: dec.Recompute, AdmitUser: dec.AdmitUser}
 	if dec.Recompute {
 		plan.Kind = bipartite.UserPrefix
 	} else if plan.Kind == bipartite.UserPrefix {
-		plan.Caches.User = state.users[req.UserID]
-		if plan.Caches.User != nil {
-			b.userHitTokens.Add(int64(userTokens))
+		if r := b.users[req.UserID]; r != nil {
+			plan.Caches.User = r.cache
+			b.userHitTokens.Add(int64(sc.UserTokens))
 		} else {
-			b.userMissTokens.Add(int64(userTokens))
+			b.userMissTokens.Add(int64(sc.UserTokens))
 		}
 	} else {
 		plan.Caches.Items = make(map[int]*model.KVCache, len(req.CandidateIDs))
 		for slot, it := range req.CandidateIDs {
-			if c, ok := state.items[it]; ok {
+			if c, ok := b.items[it]; ok {
 				plan.Caches.Items[slot] = c
 				b.itemHitTokens.Add(int64(len(ds.ItemTokens[it])))
 			} else {
@@ -431,111 +442,117 @@ func (b *localBackend) Plan(ctx context.Context, req serving.RankRequest) (*serv
 	return plan, nil
 }
 
-// Commit applies the batch's cache admissions and LRU evictions serially at
-// the batch boundary: build the next snapshot copy-on-write and publish it
-// atomically. Evicted caches are contiguous and simply dropped; a reader
-// still holding one keeps a valid cache until the garbage collector takes it.
+// schedContext records the request's user access and builds the scheduler's
+// view of the pool. MinCachedHotness is the cold heap's root evaluated now:
+// the keys order users as their hotness does at every time since their last
+// access, so the root is the coldest resident without a scan. The clock is
+// read under metaMu, so every access is recorded at a time no earlier than
+// the last one. Caller holds mu (read or write).
+func (b *localBackend) schedContext(req serving.RankRequest) scheduler.Context {
+	ds := b.cfg.Dataset
+	userKey := userEntry(req.UserID)
+	resident := b.users[req.UserID]
+	b.metaMu.Lock()
+	now := b.cfg.Now().Sub(b.start).Seconds()
+	hotness := b.meta.RecordAccess(userKey, now)
+	if resident != nil {
+		resident.key = b.meta.OrderKey(userKey)
+		heap.Fix(&b.cold, resident.idx)
+	}
+	minHot := 0.0
+	if len(b.cold) > 0 {
+		minHot = b.meta.Hotness(userEntry(b.cold[0].id), now)
+	}
+	b.metaMu.Unlock()
+
+	itemTokens := 0
+	for _, it := range req.CandidateIDs {
+		itemTokens += len(ds.ItemTokens[it])
+	}
+	return scheduler.Context{
+		UserTokens:           len(ds.UserHistory[req.UserID]),
+		ItemTokens:           itemTokens,
+		UserHotness:          hotness,
+		UserCached:           resident != nil,
+		UserPoolHasSpace:     int64(len(b.users)) < b.userBudget.Load(),
+		MinCachedHotness:     minHot,
+		HaveMinCachedHotness: len(b.users) > 0,
+	}
+}
+
+// Commit applies the batch's cache admissions and evictions in place at the
+// batch boundary. Work is proportional to the batch, not the pool: a user
+// admission evicts the coldest residents (the cold heap's root) down to one
+// below the budget and then inserts the newcomer, as kvcache.Pool does;
+// items are evicted in admission order. The first admission wins when a
+// batch carried the same user or item twice: both runs computed
+// bit-identical caches, so the duplicate is dropped.
 func (b *localBackend) Commit(entries []serving.CommitEntry) {
-	cur := b.snap.Load()
 	userBudget, itemBudget := b.userBudget.Load(), b.itemBudget.Load()
-	// Steady-state batches (all cache hits, nothing to admit) are the common
-	// case; detect them against the current snapshot before paying for the
-	// full copy-on-write rebuild. A partition shrink since the last commit
-	// also forces a rebuild so the new budgets take effect.
-	admits := int64(len(cur.users)) > userBudget ||
-		(itemBudget > 0 && int64(len(cur.items)) > itemBudget)
-	for _, e := range entries {
-		if admits {
-			break
-		}
-		if e.Plan.Recompute {
-			continue
-		}
-		if e.Run.NewUserCache != nil && e.Plan.AdmitUser {
-			if _, ok := cur.users[e.Req.UserID]; !ok {
-				admits = true
-				break
-			}
-		}
-		for slot := range e.Run.NewItemCaches {
-			if cur.items[e.Req.CandidateIDs[slot]] == nil {
-				admits = true
-				break
-			}
-		}
-	}
-	if !admits {
-		return
-	}
-	next := &localState{
-		items:   make(map[int]*model.KVCache, len(cur.items)+len(entries)),
-		users:   make(map[int]*model.KVCache, len(cur.users)+1),
-		userLRU: append([]int(nil), cur.userLRU...),
-		itemLRU: append([]int(nil), cur.itemLRU...),
-	}
-	for k, v := range cur.items {
-		next.items[k] = v
-	}
-	for k, v := range cur.users {
-		next.users[k] = v
-	}
-	changed := false
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.metaMu.Lock()
+	defer b.metaMu.Unlock()
 	for _, e := range entries {
 		if e.Plan.Recompute {
 			continue
 		}
 		if e.Run.NewUserCache != nil && e.Plan.AdmitUser {
-			// First admission wins when a batch carried the same user twice:
-			// both runs computed bit-identical caches, so the duplicate is
-			// dropped instead of adopted-then-leaked.
-			u := e.Req.UserID
-			if _, ok := next.users[u]; !ok {
-				next.userLRU = append(next.userLRU, u)
-				next.users[u] = e.Run.NewUserCache
-				changed = true
-			}
+			b.admitUser(e.Req.UserID, e.Run.NewUserCache, userBudget)
 		}
 		for slot, c := range e.Run.NewItemCaches {
-			if id := e.Req.CandidateIDs[slot]; next.items[id] == nil {
-				next.items[id] = c
-				next.itemLRU = append(next.itemLRU, id)
-				changed = true
+			if id := e.Req.CandidateIDs[slot]; b.items[id] == nil {
+				b.items[id] = c
+				b.itemLRU = append(b.itemLRU, id)
 			}
 		}
 	}
 	// Enforce the (possibly freshly re-divided) per-class budgets.
-	for int64(len(next.users)) > userBudget && len(next.userLRU) > 0 {
-		victim := next.userLRU[0]
-		next.userLRU = next.userLRU[1:]
-		if _, ok := next.users[victim]; ok {
-			changed = true
-		}
-		delete(next.users, victim)
+	b.evictUsers(userBudget)
+	for itemBudget > 0 && int64(len(b.items)) > itemBudget {
+		delete(b.items, b.itemLRU[0])
+		b.itemLRU = b.itemLRU[1:]
 	}
-	for itemBudget > 0 && int64(len(next.items)) > itemBudget && len(next.itemLRU) > 0 {
-		victim := next.itemLRU[0]
-		next.itemLRU = next.itemLRU[1:]
-		if _, ok := next.items[victim]; ok {
-			changed = true
-		}
-		delete(next.items, victim)
-	}
-	if !changed {
-		return
-	}
-	b.snap.Store(next)
 }
 
-// minUserHotness scans the snapshot's cached users for the coldest one.
-// Caller holds metaMu.
-func (b *localBackend) minUserHotness(state *localState, now float64) float64 {
-	min := 0.0
-	first := true
-	for u := range state.users {
-		h := b.meta.Hotness(kvcache.EntryKey{Kind: kvcache.UserEntry, ID: uint64(u)}, now)
-		if first || h < min {
-			min, first = h, false
-		}
+// admitUser inserts user u's fresh cache unless it is already resident.
+// Caller holds mu for writing and metaMu.
+func (b *localBackend) admitUser(u int, c *model.KVCache, budget int64) {
+	if _, ok := b.users[u]; ok {
+		return
 	}
-	return min
+	b.evictUsers(budget - 1)
+	r := &residentUser{id: u, cache: c, key: b.meta.OrderKey(userEntry(u))}
+	heap.Push(&b.cold, r)
+	b.users[u] = r
+}
+
+// evictUsers drops the coldest resident users until at most n remain.
+// Caller holds mu for writing and metaMu.
+func (b *localBackend) evictUsers(n int64) {
+	for int64(len(b.cold)) > n && len(b.cold) > 0 {
+		r := heap.Pop(&b.cold).(*residentUser)
+		delete(b.users, r.id)
+	}
+}
+
+func userEntry(u int) kvcache.EntryKey {
+	return kvcache.EntryKey{Kind: kvcache.UserEntry, ID: uint64(u)}
+}
+
+// userHeap is a min-heap of resident users by OrderKey: the root is the
+// coldest user at any time from its last access on.
+type userHeap []*residentUser
+
+func (h userHeap) Len() int           { return len(h) }
+func (h userHeap) Less(i, j int) bool { return h[i].key < h[j].key }
+func (h userHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].idx = i; h[j].idx = j }
+func (h *userHeap) Push(x any)        { r := x.(*residentUser); r.idx = len(*h); *h = append(*h, r) }
+func (h *userHeap) Pop() any {
+	old := *h
+	n := len(old)
+	r := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return r
 }
